@@ -230,7 +230,7 @@ type (
 	ScenarioConfig = sim.Config
 	// ScenarioResult aggregates a simulation run.
 	ScenarioResult = sim.Result
-	// OffloadProtocol tunes the fault-injected offload state machine
+	// OffloadProtocol tunes the per-window offload state machine
 	// (deadline, retries, backoff, reselection hysteresis).
 	OffloadProtocol = sim.Protocol
 )
@@ -265,7 +265,7 @@ type (
 	// FaultScenario describes an injected fault pattern over time.
 	FaultScenario = faults.Scenario
 	// FaultInjector is a seeded, replayable scenario instance; pass it to
-	// ScenarioConfig.Faults to enable the lossy-link simulation path.
+	// ScenarioConfig.Faults to inject its lossy-link events.
 	FaultInjector = faults.Injector
 	// BurstChannelParams parameterizes the Gilbert–Elliott loss channel.
 	BurstChannelParams = faults.ChannelParams
@@ -413,8 +413,8 @@ var (
 	// FaultScenarioNames lists the preset scenario names.
 	FaultScenarioNames = faults.Names
 	// CommuteScenario, GymScenario and WorstCaseScenario are the preset
-	// chaos scenarios; NoFaultScenario is the empty scenario whose
-	// injected run is bitwise identical to the fault-free simulator.
+	// chaos scenarios; NoFaultScenario is the empty scenario a run
+	// without injected faults uses, bitwise.
 	CommuteScenario   = faults.Commute
 	GymScenario       = faults.Gym
 	WorstCaseScenario = faults.WorstCase

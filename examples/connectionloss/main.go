@@ -50,7 +50,9 @@ func main() {
 	}
 
 	// Replay a day with the link cut every 20 minutes (down 5 minutes):
-	// the simulator re-selects configurations at every transition.
+	// the simulator re-selects configurations behind hysteresis — a few
+	// degraded windows after the link drops, a few healthy ones after it
+	// returns.
 	var toggles []float64
 	for t := 1200.0; t < 6*3600; t += 1500 {
 		toggles = append(toggles, t, t+300)

@@ -13,7 +13,7 @@ import (
 // with an independent per-packet loss probability in each state. The zero
 // value is the lossless channel and is guaranteed to consume no random
 // draws (see ble.Channel.PacketLost), so a zero-fault configuration stays
-// bitwise identical to the fault-free simulator.
+// bitwise identical to the pre-fault simulator on an always-up link.
 type ChannelParams struct {
 	// GoodLoss and BadLoss are per-packet loss probabilities in the good
 	// and bad state.

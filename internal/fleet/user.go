@@ -125,8 +125,8 @@ type User struct {
 	// profiled over their own windows) and the O(1) replay rater.
 	Engine *core.Engine
 	// Injector is the cohort scenario bound to the user's fault seed; nil
-	// for the "none" cohort, which keeps those users on the faster clean
-	// tick loop.
+	// for the "none" cohort, whose users run sim's empty faults.None()
+	// scenario.
 	Injector *faults.Injector
 
 	meanHR float64

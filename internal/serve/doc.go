@@ -5,7 +5,10 @@
 // wide GEMM batches (the PR 5 cross-sample im2col machinery) while
 // keeping every piece of per-user state — difficulty routing, offload
 // protocol, burst-channel Markov state, reselection hysteresis —
-// strictly session-local.
+// strictly session-local. That state is one sim.Machine per session, the
+// same per-window machine sim.RunState loops over, so a session fed one
+// window per period routes exactly as sim.Run does
+// (TestSessionMatchesSim).
 //
 // # Pipeline
 //
@@ -18,10 +21,10 @@
 //	                     ─▶ batch inference ─▶ finalize (per session)
 //
 // Stage 1 routes each session's windows in submission order (deadline
-// triage, shedding, dispatch, offload protocol); stage 2 groups runnable
-// windows across sessions by (model, sample length); stage 3 runs each
-// group in batch chunks on worker clones; stage 4 folds results and
-// counters back per session.
+// triage, shedding, then the machine's Route and Settle steps); stage 2
+// groups runnable windows across sessions by (model, sample length);
+// stage 3 runs each group in batch chunks on worker clones; stage 4
+// folds results and counters back per session.
 //
 // # Overload ladder
 //
@@ -71,8 +74,8 @@
 //
 // # Durability and migration
 //
-// Snapshot serializes the complete per-session state — offload state
-// machine, hysteresis streaks, reconnect holdoff, rng position, belief
+// Snapshot serializes the complete per-session state — the machine's
+// sim.Carry (through the shared sim.EncodeCarry codec), belief
 // posterior, counters and undrained results — as one CRC-protected CHSS
 // frame bound to ConfigHash; Checkpoint persists it with the atomic
 // partial-file+rename discipline (wall mode checkpoints itself every

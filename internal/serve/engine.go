@@ -119,7 +119,6 @@ type Engine struct {
 	cfg      Config
 	clock    Clock
 	lockstep bool
-	proto    sim.Protocol
 	scenario faults.Scenario
 
 	mailboxDepth int
@@ -127,10 +126,6 @@ type Engine struct {
 	batchSize    int
 	workers      int
 	deadlineSec  float64
-	// pipelineDeadline is the offload budget per window
-	// (Protocol.DeadlineFraction × System.PeriodSeconds), mirroring the
-	// offline simulator.
-	pipelineDeadline float64
 
 	mu       sync.Mutex // guards sessions and order
 	sessions map[string]*Session
@@ -206,10 +201,6 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.CheckpointSeconds < 0 {
 		return nil, fmt.Errorf("serve: CheckpointSeconds %g < 0", cfg.CheckpointSeconds)
 	}
-	proto := cfg.Protocol
-	if proto == (sim.Protocol{}) {
-		proto = sim.DefaultProtocol()
-	}
 	scenario := faults.None()
 	if cfg.Faults != nil {
 		scenario = *cfg.Faults
@@ -229,23 +220,21 @@ func Open(cfg Config) (*Engine, error) {
 	_, lockstep := clock.(*VirtualClock)
 
 	e := &Engine{
-		cfg:              cfg,
-		clock:            clock,
-		lockstep:         lockstep,
-		proto:            proto,
-		scenario:         scenario,
-		mailboxDepth:     cfg.MailboxDepth,
-		highWater:        cfg.HighWater,
-		batchSize:        cfg.BatchSize,
-		workers:          cfg.Workers,
-		deadlineSec:      cfg.DeadlineSeconds,
-		pipelineDeadline: proto.DeadlineFraction * cfg.System.PeriodSeconds,
-		sessions:         make(map[string]*Session),
-		slots:            make(map[string]*modelSlot),
-		wake:             make(chan struct{}, 1),
-		stopCh:           make(chan struct{}),
-		pumpDone:         make(chan struct{}),
-		failedCh:         make(chan struct{}),
+		cfg:          cfg,
+		clock:        clock,
+		lockstep:     lockstep,
+		scenario:     scenario,
+		mailboxDepth: cfg.MailboxDepth,
+		highWater:    cfg.HighWater,
+		batchSize:    cfg.BatchSize,
+		workers:      cfg.Workers,
+		deadlineSec:  cfg.DeadlineSeconds,
+		sessions:     make(map[string]*Session),
+		slots:        make(map[string]*modelSlot),
+		wake:         make(chan struct{}, 1),
+		stopCh:       make(chan struct{}),
+		pumpDone:     make(chan struct{}),
+		failedCh:     make(chan struct{}),
 	}
 	// One slot per distinct zoo model: every profile's simple and complex
 	// estimator, deduplicated by name. Sessions only ever reference these
@@ -284,20 +273,23 @@ func (e *Engine) NewSession(id string) (*Session, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: session %q: %w", id, err)
 	}
-	s := &Session{id: id, eng: e, inj: inj, rng: inj.Rand()}
+	s := &Session{id: id, eng: e, m: sim.NewMachine(&sim.Config{
+		System:     e.cfg.System,
+		Engine:     e.cfg.Engine,
+		Constraint: e.cfg.Constraint,
+		Protocol:   e.cfg.Protocol,
+		Faults:     inj,
+		Belief:     e.cfg.Belief,
+	})}
 	if e.cfg.Belief != nil {
 		if s.bf, err = belief.NewFilter(e.cfg.Belief.Table); err != nil {
 			return nil, fmt.Errorf("serve: session %q: %w", id, err)
 		}
 	}
-	now := e.clock.Now()
-	s.engineUp = s.rawUp(now)
-	current, err := e.cfg.Engine.SelectConfig(s.engineUp, e.cfg.Constraint)
-	if err != nil {
+	if err := s.m.Reset(e.clock.Now()); err != nil {
 		return nil, fmt.Errorf("serve: session %q: %w", id, err)
 	}
-	s.current = current
-	s.stats.ActiveConfig = current.Name()
+	s.stats.ActiveConfig = s.m.Active().Name()
 
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -24,14 +24,18 @@ func TestReconnectHoldoffWindowBoundary(t *testing.T) {
 	}
 
 	boundary := 3 * cfg.System.PeriodSeconds
-	s.linkDownUntil = boundary
-	if s.rawUp(math.Nextafter(boundary, 0)) {
+	c := s.m.Carry()
+	c.LinkDownUntil = boundary
+	if err := s.m.Resume(c); err != nil {
+		t.Fatal(err)
+	}
+	if s.m.Up(math.Nextafter(boundary, 0)) {
 		t.Fatal("link reported up one ulp before the reconnect holdoff expired")
 	}
-	if !s.rawUp(boundary) {
+	if !s.m.Up(boundary) {
 		t.Fatal("holdoff expiring exactly on the window boundary must re-admit offload")
 	}
-	if !s.rawUp(boundary + cfg.System.PeriodSeconds) {
+	if !s.m.Up(boundary + cfg.System.PeriodSeconds) {
 		t.Fatal("link must stay up after the holdoff")
 	}
 }

@@ -125,6 +125,10 @@ type SessionStats struct {
 	// Supervision.
 	Restarts     uint64
 	Reselections uint64
+	// ReselectFailures counts reselections (hysteresis or restart) that
+	// found no configuration meeting the constraint; the session kept
+	// its active configuration.
+	ReselectFailures uint64 `json:",omitempty"`
 	// Durability. Migrations counts how many times this session's state
 	// was attached from a Detach frame; RestoreFailures counts restore
 	// attempts that degraded to a fresh session (corrupt or stale

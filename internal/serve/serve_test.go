@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dalia"
+	"repro/internal/faults"
 	"repro/internal/hw"
 	"repro/internal/models"
 	"repro/internal/models/rf"
@@ -65,6 +66,8 @@ var fixtureOnce struct {
 	sys     *hw.System
 	eng     *core.Engine
 	windows []dalia.Window
+	recs    []core.WindowRecord
+	cls     *rf.Classifier
 }
 
 // fixture builds (once) the shared test world: synthetic DaLiA-like
@@ -88,9 +91,6 @@ func fixture(t testing.TB) (*hw.System, *core.Engine, []dalia.Window) {
 		if err != nil {
 			panic("serve fixture: forest: " + err.Error())
 		}
-		simple := &trapEst{biasEst{name: "cheap", ops: 3_000, bias: 8}}
-		complex := &trapEst{biasEst{name: "best", ops: 12_000_000, bias: 2}}
-		sys := hw.NewSystem()
 		header := core.NewRecordHeader("cheap", "best")
 		recs := make([]core.WindowRecord, len(ws))
 		for i := range ws {
@@ -102,21 +102,31 @@ func fixture(t testing.TB) (*hw.System, *core.Engine, []dalia.Window) {
 				Preds:      []float64{ws[i].TrueHR + 8, ws[i].TrueHR + 2},
 			}
 		}
-		zoo, err := core.NewZoo(simple, complex)
-		if err != nil {
-			panic("serve fixture: zoo: " + err.Error())
-		}
-		profiles, err := core.ProfileConfigs(zoo.EnumerateConfigs(), recs, sys)
-		if err != nil {
-			panic("serve fixture: profiling: " + err.Error())
-		}
-		eng, err := core.NewEngine(profiles, cls)
-		if err != nil {
-			panic("serve fixture: engine: " + err.Error())
-		}
-		fixtureOnce.sys, fixtureOnce.eng, fixtureOnce.windows = sys, eng, ws
+		fixtureOnce.sys, fixtureOnce.windows = hw.NewSystem(), ws
+		fixtureOnce.recs, fixtureOnce.cls = recs, cls
+		fixtureOnce.eng = fixtureEngine(cls,
+			&trapEst{biasEst{name: "cheap", ops: 3_000, bias: 8}},
+			&trapEst{biasEst{name: "best", ops: 12_000_000, bias: 2}})
 	})
 	return fixtureOnce.sys, fixtureOnce.eng, fixtureOnce.windows
+}
+
+// fixtureEngine profiles the fixture zoo — simple and complex must be
+// named "cheap" and "best" — into an engine rated by rater.
+func fixtureEngine(rater core.DifficultyRater, simple, complex models.HREstimator) *core.Engine {
+	zoo, err := core.NewZoo(simple, complex)
+	if err != nil {
+		panic("serve fixture: zoo: " + err.Error())
+	}
+	profiles, err := core.ProfileConfigs(zoo.EnumerateConfigs(), fixtureOnce.recs, hw.NewSystem())
+	if err != nil {
+		panic("serve fixture: profiling: " + err.Error())
+	}
+	eng, err := core.NewEngine(profiles, rater)
+	if err != nil {
+		panic("serve fixture: engine: " + err.Error())
+	}
+	return eng
 }
 
 // lockstepConfig is the deterministic baseline config tests start from.
@@ -493,5 +503,58 @@ func TestOutcomeAndStatusStrings(t *testing.T) {
 		if st.String() == "unknown" {
 			t.Fatalf("status %d has no name", st)
 		}
+	}
+}
+
+// hardest rates every window at the top difficulty rank.
+type hardest struct{}
+
+func (hardest) DifficultyID(*dalia.Window) int { return 9 }
+
+// TestReselectFailureKeepsConfig: a session whose constraint only hybrid
+// configurations meet rides out a sustained outage on its active
+// configuration — offloads degrade to the simple model — and counts each
+// infeasible reselection, from hysteresis and from a restart alike.
+func TestReselectFailureKeepsConfig(t *testing.T) {
+	cfg, vc := lockstepConfig(t)
+	_, eng, ws := fixture(t)
+	var hybrid []core.Profile
+	for _, p := range eng.Profiles() {
+		if p.Exec == core.Hybrid {
+			hybrid = append(hybrid, p)
+		}
+	}
+	var err error
+	if cfg.Engine, err = core.NewEngine(hybrid, hardest{}); err != nil {
+		t.Fatal(err)
+	}
+	outage := faults.Scenario{Name: "outage", Flaps: []faults.Interval{{From: 20, To: 80}}}
+	cfg.Faults = &outage
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	s, err := e.NewSession("u0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := s.Stats().ActiveConfig
+	for k := 0; k < 60; k++ {
+		s.Submit(&ws[k%len(ws)], vc.Now())
+		e.Tick()
+		vc.Advance(cfg.System.PeriodSeconds)
+	}
+	// 30 down windows: the first failure after FailWindows (3), then one
+	// retry per expired cooldown (10 windows + 1) — as in sim.
+	st := s.Stats()
+	if st.ReselectFailures != 3 || st.Reselections != 0 || st.FallbackWindows != 30 || st.ActiveConfig != initial {
+		t.Fatalf("outage: %d reselect failures, %d reselections, %d fallbacks, config %q; want 3, 0, 30, %q",
+			st.ReselectFailures, st.Reselections, st.FallbackWindows, st.ActiveConfig, initial)
+	}
+	s.restart(40) // inside the outage: no configuration fits a down link
+	if st := s.Stats(); st.ReselectFailures != 4 || st.ActiveConfig != initial {
+		t.Fatalf("restart in the outage: %d reselect failures, config %q; want 4, %q",
+			st.ReselectFailures, st.ActiveConfig, initial)
 	}
 }

@@ -5,10 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/belief"
-	"repro/internal/core"
 	"repro/internal/dalia"
-	"repro/internal/faults"
-	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
 	"repro/internal/models"
 	"repro/internal/sim"
@@ -48,7 +45,7 @@ func (s SubmitStatus) String() string {
 }
 
 // job is one window travelling through the pipeline: admission fields set
-// at Submit, routing fields set by stage 1 (dispatch + offload protocol),
+// at Submit, the routing set by stage 1 (the session machine's Route),
 // the estimate set by the coalesced inference stage, and everything folded
 // into results and stats by finalize.
 type job struct {
@@ -57,28 +54,24 @@ type job struct {
 	arrival  float64
 	deadline float64
 
-	shed        bool // mailbox past high water at collect: degrade to simple
-	model       string
-	est         models.HREstimator
-	outcome     Outcome
-	offloaded   bool
-	difficulty  int
-	skip        bool // no inference (expired or panicked in stage 1)
-	panicked    bool
-	offload     sim.OffloadOutcome
-	attempted   bool // the offload pipeline ran (deadline-miss accounting)
-	phoneEnergy power.Energy
-	hr          float64
-	gated       bool    // offload demoted by the uncertainty gate
-	ciWidth     float64 // posterior credible-interval width after fusion
+	shed     bool // mailbox past high water at collect: degrade to simple
+	route    sim.Route
+	model    string
+	est      models.HREstimator
+	outcome  Outcome
+	skip     bool // no inference (expired or panicked in stage 1)
+	panicked bool
+	hr       float64
+	ciWidth  float64 // posterior credible-interval width after fusion
 }
 
 // Session is one user's isolated slice of the engine: a bounded mailbox,
-// the offload protocol state machine (burst-channel Markov state, seeded
-// random stream, reconnect holdoff), reselection hysteresis, and the
-// accumulated results and counters. All fault state is derived from the
-// engine's scenario and the session ID alone, so a session's results are
-// a pure function of its own inputs — never of its neighbours'.
+// the per-window offload machine (sim.Machine: burst-channel Markov
+// state, seeded random stream, reconnect holdoff, reselection
+// hysteresis), and the accumulated results and counters. All fault state
+// is derived from the engine's scenario and the session ID alone, so a
+// session's results are a pure function of its own inputs — never of its
+// neighbours'.
 type Session struct {
 	id  string
 	eng *Engine
@@ -94,19 +87,10 @@ type Session struct {
 
 	// Pipeline state below is touched only by the engine's cycle (one
 	// cycle runs at a time), never concurrently with itself.
-	inj           *faults.Injector
-	rng           *faults.Rand
-	ch            ble.Channel
-	current       core.Profile
-	engineUp      bool
-	linkDownUntil float64
-	failStreak    int
-	goodStreak    int
-	cooldown      int
+	m *sim.Machine
 	// bf is the session's belief filter (nil unless Config.Belief is
-	// set); rmsBuf is its reusable motion-RMS scratch. Like the channel
-	// state above, both are touched only from the engine's cycle — but
-	// unlike it, the filter deliberately survives restart: it tracks the
+	// set); rmsBuf is its reusable motion-RMS scratch. Unlike the
+	// machine, the filter deliberately survives restart: it tracks the
 	// stream's history, not the pipeline's health.
 	bf     *belief.Filter
 	rmsBuf []float64
@@ -206,27 +190,18 @@ func (s *Session) collect() []job {
 	return jobs
 }
 
-// rawUp reports whether the session's offload link is usable at time t:
-// past any reconnect holdoff, the shared link up, and no injected flap.
-func (s *Session) rawUp(t float64) bool {
-	return t >= s.linkDownUntil && s.eng.cfg.System.Link.ConnectedAt(t) && !s.inj.ForcedDown(t)
-}
-
-// restart re-initializes the session after a recovered panic: fresh
-// configuration selection, cleared hysteresis and channel state. The
-// mailbox, results, counters and the random stream survive — a restart
-// heals the pipeline state, it does not rewrite history.
+// restart resets the session's machine after a recovered panic
+// (sim.Machine.Reset). The mailbox, results, counters, belief filter and
+// random stream survive — a restart heals the pipeline state, it does
+// not rewrite history.
 func (s *Session) restart(t float64) {
-	s.ch = ble.Channel{}
-	s.linkDownUntil = 0
-	s.failStreak, s.goodStreak, s.cooldown = 0, 0, 0
-	s.engineUp = s.rawUp(t)
-	if next, err := s.eng.cfg.Engine.SelectConfig(s.engineUp, s.eng.cfg.Constraint); err == nil {
-		s.current = next
-	}
+	err := s.m.Reset(t)
 	s.smu.Lock()
 	s.stats.Restarts++
-	s.stats.ActiveConfig = s.current.Name()
+	if err != nil {
+		s.stats.ReselectFailures++
+	}
+	s.stats.ActiveConfig = s.m.Active().Name()
 	s.smu.Unlock()
 }
 
@@ -254,7 +229,6 @@ func (s *Session) step1(now float64, j *job) {
 			s.restart(now)
 		}
 	}()
-	e := s.eng
 
 	// Rung 2: the deadline already passed while the window queued —
 	// discard before spending any inference on it.
@@ -263,112 +237,41 @@ func (s *Session) step1(now float64, j *job) {
 		j.skip = true
 		return
 	}
+	simple := s.m.Active().Simple
 	// Rung 3: session overloaded — degrade to the simple model without
-	// consulting the dispatcher, exactly the ladder the offline fault
-	// loop uses when the offload pipeline fails.
+	// consulting the dispatcher, exactly the ladder the machine uses when
+	// the offload pipeline fails.
 	if j.shed {
 		j.outcome = OutcomeShed
-		j.model = s.current.Simple.Name()
-		j.est = s.current.Simple
+		j.model = simple.Name()
+		j.est = simple
 		return
 	}
 
-	up := s.rawUp(j.arrival)
-	var d core.Decision
-	if pol := e.cfg.Belief; s.bf != nil && pol.GateBPM > 0 {
-		// Every job routed this cycle shares the pre-cycle predictive
-		// width: the decision is made before any of the cycle's results
-		// exist, exactly like a real device deciding on stale belief.
-		c := core.Confidence{Width: s.bf.PredictiveWidth(pol.Mass)}
-		d, j.gated = e.cfg.Engine.DispatchGated(&s.current, j.w,
-			core.UncertaintyGate{MaxWidth: pol.GateBPM}, c)
-	} else {
-		d = e.cfg.Engine.Dispatch(&s.current, j.w)
-	}
-	j.difficulty = d.Difficulty
-	windowFault := false
+	// Every job routed this cycle shares the pre-cycle belief: the
+	// decision is made before any of the cycle's results exist, exactly
+	// like a real device deciding on stale belief.
+	up := s.m.Up(j.arrival)
+	r := s.m.Route(j.arrival, up, j.w, s.bf)
+	j.route, j.model, j.est = *r, r.Model.Name(), r.Model
 	switch {
-	case d.Offloaded && up:
-		j.attempted = true
-		j.offload = s.proto().ResolveOffload(e.cfg.System, s.inj, &s.ch, s.rng,
-			d.Model, j.arrival, e.pipelineDeadline)
-		for k := 0; k < j.offload.PhoneComputes; k++ {
-			j.phoneEnergy += e.cfg.System.PhoneEnergy(d.Model)
-		}
-		windowFault = j.offload.Fault
-		if j.offload.SupervisionDrop {
-			s.linkDownUntil = j.arrival + s.proto().ReconnectSeconds
-		}
-		if j.offload.Success {
-			j.outcome = OutcomeFull
-			j.offloaded = true
-			j.model = d.Model.Name()
-			j.est = d.Model
-		} else {
-			j.outcome = OutcomeFallback
-			j.model = s.current.Simple.Name()
-			j.est = s.current.Simple
-		}
-	case d.Offloaded && !up:
-		// The stack knows the link is down: degrade immediately.
-		windowFault = true
+	case r.Degraded:
 		j.outcome = OutcomeFallback
-		j.model = s.current.Simple.Name()
-		j.est = s.current.Simple
+	case r.Offloaded || j.model != simple.Name():
+		j.outcome = OutcomeFull
 	default:
-		j.model = d.Model.Name()
-		j.est = d.Model
-		if d.Model.Name() == s.current.Simple.Name() {
-			j.outcome = OutcomeSimple
-		} else {
-			j.outcome = OutcomeFull
-		}
+		j.outcome = OutcomeSimple
 	}
-	s.hysteresis(up, windowFault)
-}
-
-// proto returns the engine's resolved protocol.
-func (s *Session) proto() sim.Protocol { return s.eng.proto }
-
-// hysteresis is the reselection damper of the offline simulator, applied
-// per dispatched window: leave hybrid configurations only after
-// FailWindows consecutive degraded windows, return after RecoverWindows
-// healthy ones, and hold still through the cooldown after any switch.
-func (s *Session) hysteresis(up, windowFault bool) {
-	if up && !windowFault {
-		s.goodStreak++
-		s.failStreak = 0
-	} else {
-		s.failStreak++
-		s.goodStreak = 0
-	}
-	p := s.proto()
-	e := s.eng
-	switch {
-	case s.cooldown > 0:
-		s.cooldown--
-	case s.engineUp && s.failStreak >= p.FailWindows:
-		if next, err := e.cfg.Engine.SelectConfig(false, e.cfg.Constraint); err == nil {
-			s.current = next
-			s.engineUp = false
-			s.cooldown = p.CooldownWindows
-			s.failStreak = 0
-			s.smu.Lock()
-			s.stats.Reselections++
-			s.stats.ActiveConfig = next.Name()
-			s.smu.Unlock()
-		}
-	case !s.engineUp && s.goodStreak >= p.RecoverWindows:
-		if next, err := e.cfg.Engine.SelectConfig(true, e.cfg.Constraint); err == nil {
-			s.current = next
-			s.engineUp = true
-			s.cooldown = p.CooldownWindows
-			s.goodStreak = 0
-			s.smu.Lock()
-			s.stats.Reselections++
-			s.stats.ActiveConfig = next.Name()
-			s.smu.Unlock()
-		}
+	switch s.m.Settle(up, r.Fault) {
+	case sim.Switched:
+		s.smu.Lock()
+		s.stats.Reselections++
+		s.stats.ActiveConfig = s.m.Active().Name()
+		s.smu.Unlock()
+	case sim.Failed:
+		s.smu.Lock()
+		s.stats.ReselectFailures++
+		s.smu.Unlock()
 	}
 }
 
@@ -409,21 +312,21 @@ func (s *Session) finalize(completion float64, jobs []job) {
 					j.hr = s.bf.Mean()
 				}
 			}
-			if j.gated {
+			if j.route.Gated {
 				s.stats.GatedWindows++
 			}
 		}
 		switch j.outcome {
 		case OutcomeFull:
 			s.stats.FullRuns++
-			if j.offloaded {
+			if j.route.Offloaded {
 				s.stats.Offloaded++
 			}
 		case OutcomeSimple:
 			s.stats.SimpleRuns++
 		case OutcomeFallback:
 			s.stats.FallbackWindows++
-			if j.attempted {
+			if j.route.Attempted {
 				s.stats.DeadlineMisses++
 			}
 		case OutcomeShed:
@@ -431,26 +334,31 @@ func (s *Session) finalize(completion float64, jobs []job) {
 		case OutcomeExpired:
 			s.stats.Expired++
 		}
-		s.stats.Retries += uint64(j.offload.Retries)
-		s.stats.Timeouts += uint64(j.offload.Timeouts)
-		s.stats.RetransmitPackets += uint64(j.offload.RetransmitPackets)
-		if j.offload.SupervisionDrop {
+		out := &j.route.Offload
+		s.stats.Retries += uint64(out.Retries)
+		s.stats.Timeouts += uint64(out.Timeouts)
+		s.stats.RetransmitPackets += uint64(out.RetransmitPackets)
+		if out.SupervisionDrop {
 			s.stats.SupervisionDrops++
 		}
-		s.stats.RadioEnergy += j.offload.RadioEnergy
-		s.stats.RetransmitEnergy += j.offload.RetransmitEnergy
-		s.stats.PhoneEnergy += j.phoneEnergy
-		s.stats.ActiveConfig = s.current.Name()
+		s.stats.RadioEnergy += out.RadioEnergy
+		s.stats.RetransmitEnergy += out.RetransmitEnergy
+		var phone power.Energy
+		for k := 0; k < out.PhoneComputes; k++ {
+			phone += e.cfg.System.PhoneEnergy(j.route.Phone)
+		}
+		s.stats.PhoneEnergy += phone
+		s.stats.ActiveConfig = s.m.Active().Name()
 		s.results = append(s.results, WindowResult{
 			Seq:        j.seq,
 			Arrival:    j.arrival,
 			HR:         j.hr,
 			Model:      j.model,
 			Outcome:    j.outcome,
-			Offloaded:  j.offloaded,
-			Difficulty: j.difficulty,
+			Offloaded:  j.route.Offloaded,
+			Difficulty: j.route.Difficulty,
 			Latency:    completion - j.arrival,
-			Gated:      j.gated,
+			Gated:      j.route.Gated,
 			CIWidth:    j.ciWidth,
 		})
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/hw/power"
 	"repro/internal/reccache"
+	"repro/internal/sim"
 	"repro/internal/snapshot"
 )
 
@@ -36,7 +37,7 @@ var (
 func (e *Engine) ConfigHash() uint64 {
 	h := fnv.New64a()
 	c := &e.cfg
-	fmt.Fprintf(h, "scenario=%+v seed=%d proto=%+v constraint=%+v", e.scenario, c.FaultSeed, e.proto, c.Constraint)
+	fmt.Fprintf(h, "scenario=%+v seed=%d proto=%+v constraint=%+v", e.scenario, c.FaultSeed, c.Protocol.OrDefault(), c.Constraint)
 	fmt.Fprintf(h, " period=%g deadline=%g mailbox=%d highwater=%d maxpending=%d",
 		c.System.PeriodSeconds, e.deadlineSec, e.mailboxDepth, e.highWater, c.MaxPending)
 	for _, p := range c.Engine.Profiles() {
@@ -192,18 +193,8 @@ func (e *Engine) Detach(id string) ([]byte, error) {
 	}
 	w := snapshot.NewWriter(snapshot.KindServeSession, e.ConfigHash())
 	s.encode(w)
-	frame := w.Finish()
-
-	e.mu.Lock()
-	delete(e.sessions, id)
-	for i, o := range e.order {
-		if o == s {
-			e.order = append(e.order[:i], e.order[i+1:]...)
-			break
-		}
-	}
-	e.mu.Unlock()
-	return frame, nil
+	e.removeSession(s)
+	return w.Finish(), nil
 }
 
 // Attach restores a session frame produced by Detach into this engine.
@@ -271,28 +262,9 @@ func (s *Session) encode(w *snapshot.Writer) {
 	w.U64(seq)
 	w.Bool(closed)
 
-	w.U64(stats.Submitted)
-	w.U64(stats.Accepted)
-	w.U64(stats.Dropped)
-	w.U64(stats.Rejected)
-	w.U64(stats.FullRuns)
-	w.U64(stats.SimpleRuns)
-	w.U64(stats.FallbackWindows)
-	w.U64(stats.ShedWindows)
-	w.U64(stats.Expired)
-	w.U64(stats.Late)
-	w.U64(stats.Panics)
-	w.U64(stats.Offloaded)
-	w.U64(stats.Retries)
-	w.U64(stats.Timeouts)
-	w.U64(stats.SupervisionDrops)
-	w.U64(stats.DeadlineMisses)
-	w.U64(stats.RetransmitPackets)
-	w.U64(stats.GatedWindows)
-	w.U64(stats.Restarts)
-	w.U64(stats.Reselections)
-	w.U64(stats.Migrations)
-	w.U64(stats.RestoreFailures)
+	for _, c := range stats.counters() {
+		w.U64(*c)
+	}
 	w.String(stats.RestoreError)
 	w.F64(float64(stats.RadioEnergy))
 	w.F64(float64(stats.RetransmitEnergy))
@@ -314,15 +286,9 @@ func (s *Session) encode(w *snapshot.Writer) {
 		w.F64(r.CIWidth)
 	}
 
-	// Cycle-only pipeline state: offload machine, hysteresis, rng, belief.
-	w.String(s.current.Name())
-	w.Bool(s.engineUp)
-	w.F64(s.linkDownUntil)
-	w.I64(int64(s.failStreak))
-	w.I64(int64(s.goodStreak))
-	w.I64(int64(s.cooldown))
-	w.Bool(s.ch.Bad())
-	w.U64(s.rng.State())
+	// Cycle-only pipeline state: the offload machine and the belief.
+	c := s.m.Carry()
+	sim.EncodeCarry(w, &c)
 	w.Bool(s.bf != nil)
 	if s.bf != nil {
 		post, predicted := s.bf.Snapshot(nil)
@@ -341,28 +307,9 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	closed := r.Bool()
 
 	var stats SessionStats
-	stats.Submitted = r.U64()
-	stats.Accepted = r.U64()
-	stats.Dropped = r.U64()
-	stats.Rejected = r.U64()
-	stats.FullRuns = r.U64()
-	stats.SimpleRuns = r.U64()
-	stats.FallbackWindows = r.U64()
-	stats.ShedWindows = r.U64()
-	stats.Expired = r.U64()
-	stats.Late = r.U64()
-	stats.Panics = r.U64()
-	stats.Offloaded = r.U64()
-	stats.Retries = r.U64()
-	stats.Timeouts = r.U64()
-	stats.SupervisionDrops = r.U64()
-	stats.DeadlineMisses = r.U64()
-	stats.RetransmitPackets = r.U64()
-	stats.GatedWindows = r.U64()
-	stats.Restarts = r.U64()
-	stats.Reselections = r.U64()
-	stats.Migrations = r.U64()
-	stats.RestoreFailures = r.U64()
+	for _, c := range stats.counters() {
+		*c = r.U64()
+	}
 	stats.RestoreError = r.String()
 	stats.RadioEnergy = power.Energy(r.F64())
 	stats.RetransmitEnergy = power.Energy(r.F64())
@@ -396,14 +343,10 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 		results = append(results, wr)
 	}
 
-	profileName := r.String()
-	engineUp := r.Bool()
-	linkDownUntil := r.F64()
-	failStreak := int(r.I64())
-	goodStreak := int(r.I64())
-	cooldown := int(r.I64())
-	chBad := r.Bool()
-	rngState := r.U64()
+	carry, err := sim.DecodeCarry(r)
+	if err != nil {
+		return nil, fmt.Errorf("session %q: %w", id, err)
+	}
 	hasBelief := r.Bool()
 	var post []float64
 	var predicted bool
@@ -414,22 +357,17 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	switch {
-	case failStreak < 0 || goodStreak < 0 || cooldown < 0:
-		return nil, fmt.Errorf("%w: session %q: negative hysteresis counters", snapshot.ErrCorrupt, id)
-	case math.IsNaN(linkDownUntil) || math.IsInf(linkDownUntil, 0):
-		return nil, fmt.Errorf("%w: session %q: holdoff %v", snapshot.ErrCorrupt, id, linkDownUntil)
-	case hasBelief != (e.cfg.Belief != nil):
+	if hasBelief != (e.cfg.Belief != nil) {
 		return nil, fmt.Errorf("%w: session %q: belief presence mismatch", snapshot.ErrStale, id)
-	}
-	profile, ok := e.cfg.Engine.ProfileByName(profileName)
-	if !ok {
-		return nil, fmt.Errorf("%w: session %q: configuration %q not in engine", snapshot.ErrStale, id, profileName)
 	}
 
 	s, err := e.NewSession(id)
 	if err != nil {
 		return nil, fmt.Errorf("serve: restore session %q: %w", id, err)
+	}
+	if rerr := s.m.Resume(carry); rerr != nil {
+		e.removeSession(s)
+		return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrStale, id, rerr)
 	}
 	if s.bf != nil {
 		if rerr := s.bf.Restore(post, predicted); rerr != nil {
@@ -437,12 +375,6 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 			return nil, fmt.Errorf("%w: session %q: %v", snapshot.ErrCorrupt, id, rerr)
 		}
 	}
-	s.current = profile
-	s.engineUp = engineUp
-	s.linkDownUntil = linkDownUntil
-	s.failStreak, s.goodStreak, s.cooldown = failStreak, goodStreak, cooldown
-	s.ch.SetBad(chBad)
-	s.rng.Restore(rngState)
 	s.smu.Lock()
 	s.seq = seq
 	s.closed = closed
@@ -452,8 +384,9 @@ func (e *Engine) decodeSession(r *snapshot.Reader) (*Session, error) {
 	return s, nil
 }
 
-// removeSession unregisters a half-restored session after a late decode
-// failure, so a failed Restore leaves the engine exactly as it found it.
+// removeSession unregisters a session: a detached one, or a
+// half-restored one after a late decode failure, so a failed Restore
+// leaves the engine exactly as it found it.
 func (e *Engine) removeSession(s *Session) {
 	e.mu.Lock()
 	delete(e.sessions, s.id)
@@ -464,4 +397,12 @@ func (e *Engine) removeSession(s *Session) {
 		}
 	}
 	e.mu.Unlock()
+}
+
+// counters lists the session counters in codec order.
+func (st *SessionStats) counters() []*uint64 {
+	return []*uint64{&st.Submitted, &st.Accepted, &st.Dropped, &st.Rejected,
+		&st.FullRuns, &st.SimpleRuns, &st.FallbackWindows, &st.ShedWindows, &st.Expired, &st.Late, &st.Panics,
+		&st.Offloaded, &st.Retries, &st.Timeouts, &st.SupervisionDrops, &st.DeadlineMisses, &st.RetransmitPackets,
+		&st.GatedWindows, &st.Restarts, &st.Reselections, &st.ReselectFailures, &st.Migrations, &st.RestoreFailures}
 }

@@ -493,3 +493,58 @@ func FuzzSnapshot(f *testing.F) {
 		}
 	})
 }
+
+// TestOldLayoutFramesRejected: testdata holds a session frame (kind 3)
+// and an engine frame (kind 1) in the layout before the offload
+// machine's shared carry, taken under this config. Both must be rejected
+// as stale, never misread.
+func TestOldLayoutFramesRejected(t *testing.T) {
+	cfg, _ := lockstepConfig(t)
+	sc := faults.WorstCase()
+	cfg.Faults = &sc
+	cfg.FaultSeed = 7
+	e, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	session, err := os.ReadFile("testdata/session_kind3.chss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Attach(session); !errors.Is(err, ErrSnapshotStale) {
+		t.Errorf("old-layout session: Attach err = %v, want ErrSnapshotStale", err)
+	}
+	engine, err := os.ReadFile("testdata/engine_kind1.chss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Restore(engine); !errors.Is(err, ErrSnapshotStale) {
+		t.Errorf("old-layout engine: Restore err = %v, want ErrSnapshotStale", err)
+	}
+}
+
+// TestSessionCodecCoversCounters: counters() — the session codec's list
+// of uint64 stats — names every uint64 field of SessionStats exactly
+// once.
+func TestSessionCodecCoversCounters(t *testing.T) {
+	var st SessionStats
+	v := reflect.ValueOf(&st).Elem()
+	want := map[uint64]bool{}
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Uint64 {
+			f.SetUint(uint64(i + 1))
+			want[uint64(i+1)] = true
+		}
+	}
+	got := map[uint64]bool{}
+	for _, c := range st.counters() {
+		if got[*c] {
+			t.Fatalf("counter %d listed twice", *c)
+		}
+		got[*c] = true
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("codec counters %v, SessionStats uint64 fields %v", got, want)
+	}
+}

@@ -9,15 +9,18 @@
 // (internal/dalia) into a tick loop; the examples/ directory drives it
 // for the battery-life and connection-loss scenarios.
 //
-// With Config.Faults set, the tick loop switches to the fault-injected
-// path: offloads run over a lossy Gilbert–Elliott burst channel through
-// a deadline/retry/backoff protocol, failed windows degrade gracefully
-// to the watch-side fallback model, configuration re-selection moves
-// behind hysteresis, and the injected scenario (internal/faults) adds
-// phone latency spikes, phone unavailability and battery brown-outs.
-// The zero-fault configuration is bitwise identical to the fault-free
-// simulator, and a fixed fault seed replays to an identical Result —
-// both are pinned by tests.
+// Each window goes through Machine, the per-window offload machine the
+// streaming engine (internal/serve) drives per session too: gated
+// dispatch, then the deadline/retry/backoff offload protocol over a lossy
+// Gilbert–Elliott burst channel, then graceful degradation to the
+// watch-side simple model, with configuration reselection behind
+// hysteresis. Its Carry has one CHSS codec, shared by State and the
+// serve session snapshots. Config.Faults injects a scenario
+// (internal/faults): packet loss, link flaps, phone latency spikes and
+// unavailability, battery brown-outs. A nil Faults is the empty
+// faults.None() scenario through the same loop — bitwise equal to it —
+// and a fixed fault seed replays to an identical Result; both are pinned
+// by tests.
 //
 // Hot paths: the per-window tick loop. It is orders of magnitude lighter
 // than the inference pipeline (no model evaluation — it consumes

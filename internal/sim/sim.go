@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/belief"
 	"repro/internal/core"
 	"repro/internal/dalia"
@@ -32,16 +30,15 @@ type Config struct {
 	Battery *power.Battery
 	// IncludeSensors charges the PPG/IMU front end to the watch budget.
 	IncludeSensors bool
-	// Faults, when non-nil, turns on the lossy-link machinery: per-packet
+	// Faults injects the scenario's lossy-link events: per-packet
 	// Gilbert–Elliott loss with retransmissions and supervision timeouts,
-	// the offload deadline/retry/backoff protocol with graceful
-	// degradation to the watch-side model, reselection hysteresis, phone
-	// latency spikes/unavailability and battery brown-outs. A nil Faults
-	// (or the faults.None scenario) reproduces the fault-free simulator
-	// bitwise.
+	// phone latency spikes/unavailability, forced link flaps and battery
+	// brown-outs. A nil Faults runs the empty faults.None() scenario, so
+	// the offload protocol and reselection hysteresis are the same either
+	// way; only the FaultScenario/FaultSeed identity fields stay empty.
 	Faults *faults.Injector
-	// Protocol tunes the offload state machine; the zero value means
-	// DefaultProtocol(). Only consulted when Faults is non-nil.
+	// Protocol tunes the offload state machine and the reselection
+	// hysteresis; the zero value means DefaultProtocol().
 	Protocol Protocol
 	// Belief, when non-nil, runs the temporal belief filter over the HR
 	// stream: each estimate is fused into a posterior over HR bins,
@@ -54,7 +51,7 @@ type Config struct {
 }
 
 // Protocol parameterizes the offload state machine and the reselection
-// hysteresis used when fault injection is active.
+// hysteresis of the per-window Machine.
 type Protocol struct {
 	// DeadlineFraction bounds the whole offload pipeline for one window
 	// (transmit + retries + response) to this fraction of the prediction
@@ -121,6 +118,10 @@ type Result struct {
 	SkippedWindows   int // MCU still busy with the previous prediction
 	LinkDownWindows  int
 	Reselections     int
+	// ReselectFailures counts hysteresis reselections that found no
+	// configuration meeting the constraint for the new link view; the
+	// active configuration was kept (see Machine.Settle).
+	ReselectFailures int `json:",omitempty"`
 	MAE              float64
 	Watch            Breakdown
 	PhoneEnergy      power.Energy
@@ -129,9 +130,11 @@ type Result struct {
 	FinalSoC         float64
 	ActiveConfig     string
 
-	// Robustness counters, populated only when Config.Faults is set.
+	// Robustness counters. Without Config.Faults they can still move
+	// when a link trace cuts offloads short.
 
-	// FaultScenario and FaultSeed identify the injected scenario.
+	// FaultScenario and FaultSeed identify the injected scenario (empty
+	// without Config.Faults).
 	FaultScenario string
 	FaultSeed     uint64
 	// Retries counts offload re-attempts after a timeout.
@@ -185,60 +188,30 @@ func Run(cfg Config) (Result, error) {
 	return st.Res, nil
 }
 
-// runClean is the fault-free tick loop: lossless instant-acknowledged
-// transfers and immediate reselection on link transitions. Its numeric
-// behaviour is the bitwise baseline the fault path must reproduce when
-// the injected scenario is empty (see TestRunZeroFaultScenarioMatchesClean).
-// Loop carry lives in locals loaded from st at segment entry and stored
-// back at exit, so the arithmetic inside a window is identical whether
-// the run is monolithic or segmented.
-func runClean(cfg Config, st *State, stop float64) error {
+// run is the tick loop: one Machine step per window, with the energy,
+// error and battery accounting around it. Loop carry lives in locals
+// loaded from st at segment entry and stored back at exit (the machine's
+// own state through its Carry), so the arithmetic inside a window is
+// identical whether the run is monolithic or segmented.
+func run(cfg *Config, st *State, m *Machine, bs *beliefState, stop float64) error {
 	sys := cfg.System
 	period := sys.PeriodSeconds
+	inj := m.inj
+	var bf *belief.Filter
+	if bs != nil {
+		bf = bs.f
+	}
 
 	res := st.Res
 	absErrSum := st.AbsErrSum
+	faultAbsErrSum := st.FaultAbsErrSum
 	busyUntil := st.BusyUntil
-	var lastLink bool
-	var current core.Profile
-	var err error
-	if st.Started {
-		lastLink = st.LastLink
-		var ok bool
-		if current, ok = cfg.Engine.ProfileByName(st.ActiveConfig); !ok {
-			return fmt.Errorf("sim: resume: configuration %q not in engine", st.ActiveConfig)
-		}
-	} else {
-		lastLink = sys.Link.ConnectedAt(0)
-		if current, err = cfg.Engine.SelectConfig(lastLink, cfg.Constraint); err != nil {
-			return fmt.Errorf("sim: initial selection: %w", err)
-		}
-		res.ActiveConfig = current.Name()
-	}
-	bs, err := restoreBelief(&cfg, st)
-	if err != nil {
-		return err
-	}
 	wi := st.WI
-	save := func(tNow float64) {
-		st.captureCommon(&cfg, tNow, wi, busyUntil, absErrSum, 0, &res, bs)
-		st.LastLink = lastLink
-	}
 
 	t := st.T
 	for ; t < stop; t += period {
 		res.SimulatedSeconds = t + period
-		up := sys.Link.ConnectedAt(t)
-		if up != lastLink {
-			next, err := cfg.Engine.SelectConfig(up, cfg.Constraint)
-			if err != nil {
-				return fmt.Errorf("sim: re-selection at t=%.1f: %w", t, err)
-			}
-			current = next
-			res.ActiveConfig = current.Name()
-			res.Reselections++
-			lastLink = up
-		}
+		up := m.Up(t)
 		if !up {
 			res.LinkDownWindows++
 		}
@@ -256,202 +229,28 @@ func runClean(cfg Config, st *State, stop float64) error {
 			windowWatch += se
 		}
 
+		fault := false
 		if t < busyUntil {
 			// Previous local inference still running: this window is
 			// dropped; its compute energy was charged when it started.
+			// Once that burst ends mid-window the rest of the window is
+			// MCU idle, so every simulated second is charged at exactly
+			// one MCU rate (TestRunIdleCoverageInvariant pins this).
 			res.SkippedWindows++
-			windowWatch += chargeSkippedIdle(&res, sys, t, busyUntil, period)
-			if bs != nil {
-				bs.coast()
-			}
-		} else {
-			var d core.Decision
-			if bs != nil {
-				d = bs.dispatch(cfg.Engine, &current, w)
-				d.HR = d.Model.EstimateHR(w)
-			} else {
-				d = cfg.Engine.Predict(&current, w)
-			}
-			res.Predictions++
-			rep := d.HR
-			if bs != nil {
-				rep = bs.observe(d.Model.Name(), (wi-1)%len(cfg.Windows), d.HR, w.TrueHR)
-			}
-			absErrSum += models.AbsError(rep, w.TrueHR)
-
-			var busy float64
-			if d.Offloaded {
-				res.Offloaded++
-				busy = sys.Link.TransmitSeconds(ble.WindowBytes)
-				radio := sys.Link.WindowTransmitEnergy()
-				res.Watch.Radio += radio
-				windowWatch += radio
-				res.PhoneEnergy += sys.PhoneEnergy(d.Model)
-			} else {
-				if d.Model.Name() == current.Simple.Name() {
-					res.SimpleRuns++
-				}
-				busy = sys.MCU.ComputeSeconds(d.Model)
-				compute := sys.MCU.ActiveEnergy(d.Model)
-				res.Watch.Compute += compute
-				windowWatch += compute
-			}
-			busyUntil = t + busy
-			idle := period - busy
-			if idle > 0 {
+			if idle := t + period - busyUntil; idle > 0 {
 				idleE := sys.MCU.IdlePower.Over(idle)
 				res.Watch.Idle += idleE
 				windowWatch += idleE
 			}
-		}
-
-		if cfg.Battery != nil {
-			drain := sys.BatteryDrainPerWindow(windowWatch)
-			res.BatteryDrain += drain
-			if err := cfg.Battery.Drain(drain); err != nil {
-				res.BatteryExhausted = true
-				save(t)
-				st.finishRun(&cfg, bs)
-				return nil
-			}
-		}
-	}
-	save(t)
-	if stop >= cfg.DurationSeconds {
-		st.finishRun(&cfg, bs)
-	}
-	return nil
-}
-
-// chargeSkippedIdle closes the idle-accounting gap of skipped windows:
-// the active burst that causes a skip is charged in full when it starts,
-// but once it finishes mid-window the remainder of that window is MCU
-// idle time and must be charged too, so that every simulated second is
-// charged at exactly one MCU rate (TestRunIdleCoverageInvariant pins
-// this).
-func chargeSkippedIdle(res *Result, sys *hw.System, t, busyUntil, period float64) power.Energy {
-	idle := t + period - busyUntil
-	if idle <= 0 {
-		return 0
-	}
-	idleE := sys.MCU.IdlePower.Over(idle)
-	res.Watch.Idle += idleE
-	return idleE
-}
-
-// runFaults is the fault-injected tick loop: dispatch runs against a
-// lossy burst channel through the retry/timeout/backoff protocol, failed
-// windows degrade gracefully to the watch-side fallback model, and
-// reselection moves behind hysteresis so link blips cannot thrash the
-// engine. With an empty scenario every branch below reduces to the exact
-// arithmetic of runClean. Loop carry — including the rng position, the
-// Gilbert–Elliott chain state, the reconnect holdoff and the hysteresis
-// streaks — is loaded from st at segment entry and stored back at exit,
-// keeping segmented runs bitwise-equal to monolithic ones.
-func runFaults(cfg Config, st *State, stop float64) error {
-	sys := cfg.System
-	period := sys.PeriodSeconds
-	proto := cfg.Protocol
-	if proto == (Protocol{}) {
-		proto = DefaultProtocol()
-	}
-	deadline := proto.DeadlineFraction * period
-	inj := cfg.Faults
-	rng := inj.Rand()
-	ch := &ble.Channel{}
-
-	res := st.Res
-	absErrSum := st.AbsErrSum
-	faultAbsErrSum := st.FaultAbsErrSum
-	busyUntil := st.BusyUntil
-	linkDownUntil := st.Proto.LinkDownUntil // reconnect holdoff after a supervision drop
-	rawUp := func(t float64) bool {
-		return t >= linkDownUntil && sys.Link.ConnectedAt(t) && !inj.ForcedDown(t)
-	}
-
-	var engineUp bool
-	var current core.Profile
-	var err error
-	failStreak, goodStreak, cooldown := 0, 0, 0
-	if st.Started {
-		engineUp = st.Proto.EngineUp
-		failStreak, goodStreak, cooldown = st.Proto.FailStreak, st.Proto.GoodStreak, st.Proto.Cooldown
-		ch.SetBad(st.Proto.ChannelBad)
-		rng.Restore(st.Proto.RngState)
-		var ok bool
-		if current, ok = cfg.Engine.ProfileByName(st.ActiveConfig); !ok {
-			return fmt.Errorf("sim: resume: configuration %q not in engine", st.ActiveConfig)
-		}
-	} else {
-		res.FaultScenario = inj.Scenario().Name
-		res.FaultSeed = inj.Seed()
-		engineUp = rawUp(0)
-		if current, err = cfg.Engine.SelectConfig(engineUp, cfg.Constraint); err != nil {
-			return fmt.Errorf("sim: initial selection: %w", err)
-		}
-		res.ActiveConfig = current.Name()
-	}
-	bs, err := restoreBelief(&cfg, st)
-	if err != nil {
-		return err
-	}
-	wi := st.WI
-	save := func(tNow float64) {
-		st.captureCommon(&cfg, tNow, wi, busyUntil, absErrSum, faultAbsErrSum, &res, bs)
-		st.Proto = ProtoState{
-			EngineUp:      engineUp,
-			LinkDownUntil: linkDownUntil,
-			FailStreak:    failStreak,
-			GoodStreak:    goodStreak,
-			Cooldown:      cooldown,
-			ChannelBad:    ch.Bad(),
-			RngState:      rng.State(),
-		}
-	}
-
-	t := st.T
-	for ; t < stop; t += period {
-		res.SimulatedSeconds = t + period
-		up := rawUp(t)
-		if !up {
-			res.LinkDownWindows++
-		}
-
-		w := &cfg.Windows[wi%len(cfg.Windows)]
-		wi++
-
-		var windowWatch power.Energy
-		if cfg.IncludeSensors {
-			se := sys.SensorWindowEnergy()
-			res.Watch.Sensors += se
-			windowWatch += se
-		}
-
-		windowFault := false
-		if t < busyUntil {
-			res.SkippedWindows++
-			windowWatch += chargeSkippedIdle(&res, sys, t, busyUntil, period)
 			if bs != nil {
-				bs.coast()
+				bs.f.Coast()
 			}
 		} else {
-			var d core.Decision
-			if bs != nil {
-				d = bs.dispatch(cfg.Engine, &current, w)
-			} else {
-				d = cfg.Engine.Dispatch(&current, w)
-			}
-			var hr, busy float64
-			degraded, attempted := false, false
-
-			switch {
-			case d.Offloaded && up:
-				// Offload protocol state machine (protocol.go): transmit
-				// over the burst channel, await the phone response under
-				// the attempt timeout, retry with exponential backoff
-				// inside the window deadline, then degrade.
-				attempted = true
-				out := proto.ResolveOffload(sys, inj, ch, rng, d.Model, t, deadline)
+			r := m.Route(t, up, w, bf)
+			fault = r.Fault
+			var busy float64
+			if r.Attempted {
+				out := &r.Offload
 				res.Watch.Radio += out.RadioEnergy
 				windowWatch += out.RadioEnergy
 				busy += out.Busy
@@ -460,64 +259,42 @@ func runFaults(cfg Config, st *State, stop float64) error {
 				res.Retries += out.Retries
 				res.Timeouts += out.Timeouts
 				for i := 0; i < out.PhoneComputes; i++ {
-					res.PhoneEnergy += sys.PhoneEnergy(d.Model)
-				}
-				if out.Fault {
-					windowFault = true
+					res.PhoneEnergy += sys.PhoneEnergy(r.Phone)
 				}
 				if out.SupervisionDrop {
 					res.SupervisionDrops++
-					linkDownUntil = t + proto.ReconnectSeconds
 				}
-				if out.Success {
-					hr = d.Model.EstimateHR(w)
-					res.Offloaded++
-				} else {
-					degraded = true
+			}
+			if r.Offloaded {
+				res.Offloaded++
+			} else {
+				// The window runs on the watch: the dispatched local
+				// model, or the simple model after a degraded offload.
+				if r.Degraded {
+					res.FallbackWindows++
+					if r.Attempted {
+						res.DeadlineMisses++
+					}
 				}
-			case d.Offloaded && !up:
-				// The stack knows the link is down: nothing is
-				// transmitted, the window degrades immediately.
-				degraded = true
-				windowFault = true
-			default:
-				hr = d.Model.EstimateHR(w)
-				if d.Model.Name() == current.Simple.Name() {
+				if r.Model.Name() == m.cur.Simple.Name() {
 					res.SimpleRuns++
 				}
-				busy += sys.MCU.ComputeSeconds(d.Model)
-				compute := sys.MCU.ActiveEnergy(d.Model)
+				busy += sys.MCU.ComputeSeconds(r.Model)
+				compute := sys.MCU.ActiveEnergy(r.Model)
 				res.Watch.Compute += compute
 				windowWatch += compute
 			}
-
-			if degraded {
-				// Graceful degradation: the configuration's watch-side
-				// simple model covers the window locally.
-				res.FallbackWindows++
-				if attempted {
-					res.DeadlineMisses++
-				}
-				windowFault = true
-				hr = current.Simple.EstimateHR(w)
-				res.SimpleRuns++
-				busy += sys.MCU.ComputeSeconds(current.Simple)
-				compute := sys.MCU.ActiveEnergy(current.Simple)
-				res.Watch.Compute += compute
-				windowWatch += compute
-			}
-
+			hr := r.Model.EstimateHR(w)
 			res.Predictions++
 			if bs != nil {
-				producedBy := d.Model.Name()
-				if degraded {
-					producedBy = current.Simple.Name()
+				if r.Gated {
+					bs.gated++
 				}
-				hr = bs.observe(producedBy, (wi-1)%len(cfg.Windows), hr, w.TrueHR)
+				hr = bs.observe(r.Model.Name(), (wi-1)%len(cfg.Windows), hr, w.TrueHR)
 			}
 			e := models.AbsError(hr, w.TrueHR)
 			absErrSum += e
-			if windowFault {
+			if fault {
 				res.FaultWindows++
 				faultAbsErrSum += e
 			}
@@ -530,41 +307,12 @@ func runFaults(cfg Config, st *State, stop float64) error {
 			}
 		}
 
-		// Reselection hysteresis: the engine leaves hybrid only after
-		// FailWindows consecutive degraded/down windows, returns after
-		// RecoverWindows healthy ones, and holds still through the
-		// cooldown after any switch.
-		if up && !windowFault {
-			goodStreak++
-			failStreak = 0
-		} else {
-			failStreak++
-			goodStreak = 0
-		}
-		if cooldown > 0 {
-			cooldown--
-		} else if engineUp && failStreak >= proto.FailWindows {
-			next, err := cfg.Engine.SelectConfig(false, cfg.Constraint)
-			if err != nil {
-				return fmt.Errorf("sim: degraded re-selection at t=%.1f: %w", t, err)
-			}
-			current = next
-			res.ActiveConfig = current.Name()
+		switch m.Settle(up, fault) {
+		case Switched:
+			res.ActiveConfig = m.cur.Name()
 			res.Reselections++
-			engineUp = false
-			cooldown = proto.CooldownWindows
-			failStreak = 0
-		} else if !engineUp && goodStreak >= proto.RecoverWindows {
-			next, err := cfg.Engine.SelectConfig(true, cfg.Constraint)
-			if err != nil {
-				return fmt.Errorf("sim: recovery re-selection at t=%.1f: %w", t, err)
-			}
-			current = next
-			res.ActiveConfig = current.Name()
-			res.Reselections++
-			engineUp = true
-			cooldown = proto.CooldownWindows
-			goodStreak = 0
+		case Failed:
+			res.ReselectFailures++
 		}
 
 		if cfg.Battery != nil {
@@ -578,15 +326,15 @@ func runFaults(cfg Config, st *State, stop float64) error {
 			res.BatteryDrain += drain
 			if err := cfg.Battery.Drain(drain); err != nil {
 				res.BatteryExhausted = true
-				save(t)
-				st.finishRun(&cfg, bs)
+				st.capture(cfg, t, wi, busyUntil, absErrSum, faultAbsErrSum, &res, m, bs)
+				st.finishRun(cfg, bs)
 				return nil
 			}
 		}
 	}
-	save(t)
+	st.capture(cfg, t, wi, busyUntil, absErrSum, faultAbsErrSum, &res, m, bs)
 	if stop >= cfg.DurationSeconds {
-		st.finishRun(&cfg, bs)
+		st.finishRun(cfg, bs)
 	}
 	return nil
 }

@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/belief"
 	"repro/internal/core"
+	"repro/internal/dalia"
 	"repro/internal/faults"
+	"repro/internal/hw/ble"
 	"repro/internal/hw/power"
 )
 
@@ -52,38 +55,127 @@ func TestRunFaultsDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunZeroFaultScenarioMatchesClean: a nil Faults run is the empty
+// faults.None() scenario, so the two must agree bitwise on every link
+// trace — link-edge reselection included — except for the
+// scenario-identity fields.
 func TestRunZeroFaultScenarioMatchesClean(t *testing.T) {
 	sys, engine, ws := fixture(t)
-	base := Config{
-		System:          sys,
-		Engine:          engine,
-		Constraint:      core.MAEConstraint(6),
-		Windows:         ws,
-		DurationSeconds: 600,
-		IncludeSensors:  true,
+	gated := beliefPolicy(t, ws)
+	gated.GateBPM = 30
+	cases := []struct {
+		name   string
+		trace  []float64 // link toggle times; nil keeps the link up
+		belief *belief.Policy
+	}{
+		{"always-up", nil, nil},
+		{"dropout+flap", []float64{100, 200, 300, 310}, nil},
+		{"dropout+flap+gate", []float64{100, 200, 300, 310}, gated},
 	}
-	clean, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withFaults := base
-	withFaults.Battery = nil
-	withFaults.Faults = mustInjector(t, faults.None(), 99)
-	faulty, err := Run(withFaults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The empty scenario must reproduce the fault-free simulator bitwise;
-	// only the scenario-identity fields may differ.
-	if faulty.FaultScenario != "none" || faulty.FaultSeed != 99 {
-		t.Errorf("scenario identity not recorded: %q seed %d", faulty.FaultScenario, faulty.FaultSeed)
-	}
-	faulty.FaultScenario = ""
-	faulty.FaultSeed = 0
-	if !reflect.DeepEqual(clean, faulty) {
-		t.Fatalf("zero-fault injected run is not bitwise identical to the clean run:\nclean  %+v\nfaults %+v", clean, faulty)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := Config{
+				System:          sys,
+				Engine:          engine,
+				Constraint:      core.MAEConstraint(6),
+				Windows:         ws,
+				DurationSeconds: 600,
+				IncludeSensors:  true,
+				Belief:          tc.belief,
+			}
+			if tc.trace != nil {
+				tr, err := ble.NewConnectivityTrace(true, tc.trace...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				base.Trace = tr
+			}
+			clean, err := Run(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			withFaults := base
+			withFaults.Faults = mustInjector(t, faults.None(), 99)
+			faulty, err := Run(withFaults)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if faulty.FaultScenario != "none" || faulty.FaultSeed != 99 {
+				t.Errorf("scenario identity not recorded: %q seed %d", faulty.FaultScenario, faulty.FaultSeed)
+			}
+			if clean.FaultScenario != "" || clean.FaultSeed != 0 {
+				t.Errorf("nil-Faults run records scenario %q seed %d", clean.FaultScenario, clean.FaultSeed)
+			}
+			faulty.FaultScenario = ""
+			faulty.FaultSeed = 0
+			if !reflect.DeepEqual(clean, faulty) {
+				t.Fatalf("zero-fault injected run is not bitwise identical to the nil-Faults run:\nnil    %+v\nfaults %+v", clean, faulty)
+			}
+		})
 	}
 }
+
+// TestRunReselectFailureKeepsConfig: when the link view changes and no
+// configuration meets the constraint for it, the run keeps its active
+// configuration and counts the failure instead of aborting. The store
+// holds only hybrid configurations, so the degraded (link-down)
+// selection is infeasible throughout the outage.
+func TestRunReselectFailureKeepsConfig(t *testing.T) {
+	sys, engine, ws := fixture(t)
+	hybrid := hybridOnly(t, engine)
+	outage := faults.Scenario{Name: "outage", Flaps: []faults.Interval{{From: 20, To: 80}}}
+	res, err := Run(Config{
+		System:          sys,
+		Engine:          hybrid,
+		Constraint:      core.MAEConstraint(6),
+		Windows:         ws,
+		DurationSeconds: 120,
+		Faults:          mustInjector(t, outage, 1),
+	})
+	if err != nil {
+		t.Fatalf("infeasible reselection aborted the run: %v", err)
+	}
+	want, err := hybrid.SelectConfig(true, core.MAEConstraint(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ActiveConfig != want.Name() {
+		t.Errorf("active config %q, want the kept %q", res.ActiveConfig, want.Name())
+	}
+	if res.Reselections != 0 {
+		t.Errorf("reselections = %d, want 0", res.Reselections)
+	}
+	// 30 down windows: the first failure after FailWindows (3), then one
+	// retry per expired cooldown (10 windows + 1).
+	if res.ReselectFailures != 3 {
+		t.Errorf("reselect failures = %d, want 3", res.ReselectFailures)
+	}
+	if res.LinkDownWindows != 30 || res.FallbackWindows != 30 {
+		t.Errorf("link-down %d / fallback %d windows, want 30 / 30", res.LinkDownWindows, res.FallbackWindows)
+	}
+}
+
+// hybridOnly rebuilds eng over its hybrid configurations alone, with a
+// rater that rates every window hardest, so every window is offloaded.
+func hybridOnly(t *testing.T, eng *core.Engine) *core.Engine {
+	t.Helper()
+	var ps []core.Profile
+	for _, p := range eng.Profiles() {
+		if p.Exec == core.Hybrid {
+			ps = append(ps, p)
+		}
+	}
+	out, err := core.NewEngine(ps, hardest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// hardest rates every window at the top difficulty rank.
+type hardest struct{}
+
+func (hardest) DifficultyID(*dalia.Window) int { return 9 }
 
 func TestRunWorstCaseDegrades(t *testing.T) {
 	sys, engine, ws := fixture(t)

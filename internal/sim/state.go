@@ -8,25 +8,6 @@ import (
 	"repro/internal/snapshot"
 )
 
-// ProtoState is the serializable carry of the offload state machine and
-// its reselection hysteresis: everything the fault loop remembers between
-// windows besides the result accumulators. serve.Session persists the
-// same fields per session, so one schema covers both the offline
-// simulator and the streaming engine.
-type ProtoState struct {
-	// EngineUp is the hysteresis view of the link (whether the engine
-	// currently selects from the full, hybrid-including store).
-	EngineUp bool
-	// LinkDownUntil is the reconnect holdoff after a supervision drop.
-	LinkDownUntil float64
-	// FailStreak/GoodStreak/Cooldown are the hysteresis counters.
-	FailStreak, GoodStreak, Cooldown int
-	// ChannelBad is the Gilbert–Elliott chain state.
-	ChannelBad bool
-	// RngState is the fault stream's splitmix64 position.
-	RngState uint64
-}
-
 // State is the complete inter-window carry of one simulation. The
 // segmentation invariant — pinned by TestRunStateSegmentedBitwise — is
 // that running [0, D) in one RunState call or in any partition of
@@ -52,12 +33,9 @@ type State struct {
 	Res Result
 	// AbsErrSum/FaultAbsErrSum are the MAE numerators.
 	AbsErrSum, FaultAbsErrSum float64
-	// LastLink is the clean loop's link-edge detector state.
-	LastLink bool
-	// Proto is the fault loop's state machine (zero when fault-free).
-	Proto ProtoState
-	// ActiveConfig names the currently selected configuration.
-	ActiveConfig string
+	// Carry is the offload machine's state, active configuration
+	// included.
+	Carry Carry
 	// HasBattery records whether the run drains a battery;
 	// BatteryRemaining is its charge at the boundary.
 	HasBattery       bool
@@ -114,15 +92,31 @@ func RunState(cfg Config, st *State, stopSeconds float64) error {
 		cfg.System.Link.UseTrace(cfg.Trace)
 		defer cfg.System.Link.UseTrace(prev)
 	}
-	if cfg.Faults != nil {
-		return runFaults(cfg, st, stop)
+	m := NewMachine(&cfg)
+	if st.Started {
+		if err := m.Resume(st.Carry); err != nil {
+			return fmt.Errorf("sim: resume: %w", err)
+		}
+	} else {
+		if err := m.Reset(0); err != nil {
+			return fmt.Errorf("sim: initial selection: %w", err)
+		}
+		st.Res.ActiveConfig = m.cur.Name()
+		if cfg.Faults != nil {
+			st.Res.FaultScenario = cfg.Faults.Scenario().Name
+			st.Res.FaultSeed = cfg.Faults.Seed()
+		}
 	}
-	return runClean(cfg, st, stop)
+	bs, err := restoreBelief(&cfg, st)
+	if err != nil {
+		return err
+	}
+	return run(&cfg, st, m, bs, stop)
 }
 
-// captureCommon folds the shared loop carry back into the state at a
-// segment boundary.
-func (st *State) captureCommon(cfg *Config, t float64, wi int, busyUntil, absErrSum, faultAbsErrSum float64, res *Result, bs *beliefState) {
+// capture folds the loop carry back into the state at a segment
+// boundary.
+func (st *State) capture(cfg *Config, t float64, wi int, busyUntil, absErrSum, faultAbsErrSum float64, res *Result, m *Machine, bs *beliefState) {
 	st.Started = true
 	st.T = t
 	st.WI = wi
@@ -130,7 +124,7 @@ func (st *State) captureCommon(cfg *Config, t float64, wi int, busyUntil, absErr
 	st.AbsErrSum = absErrSum
 	st.FaultAbsErrSum = faultAbsErrSum
 	st.Res = *res
-	st.ActiveConfig = res.ActiveConfig
+	st.Carry = m.Carry()
 	st.HasBattery = cfg.Battery != nil
 	if cfg.Battery != nil {
 		st.BatteryRemaining = cfg.Battery.Remaining()
@@ -194,15 +188,7 @@ func EncodeState(st *State, configHash uint64) []byte {
 	w.F64(st.BusyUntil)
 	w.F64(st.AbsErrSum)
 	w.F64(st.FaultAbsErrSum)
-	w.Bool(st.LastLink)
-	w.Bool(st.Proto.EngineUp)
-	w.F64(st.Proto.LinkDownUntil)
-	w.I64(int64(st.Proto.FailStreak))
-	w.I64(int64(st.Proto.GoodStreak))
-	w.I64(int64(st.Proto.Cooldown))
-	w.Bool(st.Proto.ChannelBad)
-	w.U64(st.Proto.RngState)
-	w.String(st.ActiveConfig)
+	EncodeCarry(w, &st.Carry)
 	w.Bool(st.HasBattery)
 	w.F64(float64(st.BatteryRemaining))
 	w.Bool(st.HasBelief)
@@ -233,15 +219,9 @@ func DecodeState(data []byte, configHash uint64) (*State, error) {
 	st.BusyUntil = r.F64()
 	st.AbsErrSum = r.F64()
 	st.FaultAbsErrSum = r.F64()
-	st.LastLink = r.Bool()
-	st.Proto.EngineUp = r.Bool()
-	st.Proto.LinkDownUntil = r.F64()
-	st.Proto.FailStreak = int(r.I64())
-	st.Proto.GoodStreak = int(r.I64())
-	st.Proto.Cooldown = int(r.I64())
-	st.Proto.ChannelBad = r.Bool()
-	st.Proto.RngState = r.U64()
-	st.ActiveConfig = r.String()
+	if st.Carry, err = DecodeCarry(r); err != nil {
+		return nil, err
+	}
 	st.HasBattery = r.Bool()
 	st.BatteryRemaining = power.Energy(r.F64())
 	st.HasBelief = r.Bool()
@@ -273,8 +253,7 @@ func (st *State) validate() error {
 	}
 	for name, v := range map[string]float64{
 		"T": st.T, "BusyUntil": st.BusyUntil, "AbsErrSum": st.AbsErrSum,
-		"FaultAbsErrSum": st.FaultAbsErrSum, "LinkDownUntil": st.Proto.LinkDownUntil,
-		"BatteryRemaining": float64(st.BatteryRemaining), "BeliefWidthSum": st.BeliefWidthSum,
+		"FaultAbsErrSum": st.FaultAbsErrSum, "BatteryRemaining": float64(st.BatteryRemaining), "BeliefWidthSum": st.BeliefWidthSum,
 	} {
 		if err := fin(name, v); err != nil {
 			return err
@@ -283,86 +262,57 @@ func (st *State) validate() error {
 	switch {
 	case st.T < 0 || st.WI < 0:
 		return fmt.Errorf("sim state: negative progress (T=%v, WI=%d)", st.T, st.WI)
-	case st.Proto.FailStreak < 0 || st.Proto.GoodStreak < 0 || st.Proto.Cooldown < 0:
-		return fmt.Errorf("sim state: negative hysteresis counters")
 	case st.BeliefGated < 0 || st.BeliefObserved < 0 || st.BeliefCovered < 0:
 		return fmt.Errorf("sim state: negative belief counters")
 	case st.HasBelief != (len(st.BeliefPost) > 0):
 		return fmt.Errorf("sim state: belief flag and posterior disagree")
-	case st.Started && st.ActiveConfig == "":
+	case st.Started && st.Carry.Active == "":
 		return fmt.Errorf("sim state: started without an active configuration")
 	}
 	return nil
 }
 
+// resultFields lists r's numeric fields by type, in codec order.
+func resultFields(r *Result) ([]*int, []*float64, []*power.Energy) {
+	return []*int{&r.Predictions, &r.SimpleRuns, &r.Offloaded, &r.SkippedWindows, &r.LinkDownWindows,
+			&r.Reselections, &r.ReselectFailures, &r.Retries, &r.Timeouts, &r.SupervisionDrops,
+			&r.FallbackWindows, &r.DeadlineMisses, &r.RetransmitPackets, &r.FaultWindows,
+			&r.BeliefBins, &r.GatedOffloads},
+		[]*float64{&r.SimulatedSeconds, &r.MAE, &r.FinalSoC, &r.FaultMAE, &r.BeliefWidthMean, &r.BeliefCoverage},
+		[]*power.Energy{&r.Watch.Compute, &r.Watch.Radio, &r.Watch.Idle, &r.Watch.Sensors,
+			&r.PhoneEnergy, &r.BatteryDrain, &r.RetransmitEnergy, &r.BrownOutEnergy}
+}
+
 func encodeResult(w *snapshot.Writer, r *Result) {
-	w.F64(r.SimulatedSeconds)
-	w.I64(int64(r.Predictions))
-	w.I64(int64(r.SimpleRuns))
-	w.I64(int64(r.Offloaded))
-	w.I64(int64(r.SkippedWindows))
-	w.I64(int64(r.LinkDownWindows))
-	w.I64(int64(r.Reselections))
-	w.F64(r.MAE)
-	w.F64(float64(r.Watch.Compute))
-	w.F64(float64(r.Watch.Radio))
-	w.F64(float64(r.Watch.Idle))
-	w.F64(float64(r.Watch.Sensors))
-	w.F64(float64(r.PhoneEnergy))
-	w.F64(float64(r.BatteryDrain))
+	ints, f64s, energies := resultFields(r)
+	for _, p := range ints {
+		w.I64(int64(*p))
+	}
+	for _, p := range f64s {
+		w.F64(*p)
+	}
+	for _, p := range energies {
+		w.F64(float64(*p))
+	}
 	w.Bool(r.BatteryExhausted)
-	w.F64(r.FinalSoC)
 	w.String(r.ActiveConfig)
 	w.String(r.FaultScenario)
 	w.U64(r.FaultSeed)
-	w.I64(int64(r.Retries))
-	w.I64(int64(r.Timeouts))
-	w.I64(int64(r.SupervisionDrops))
-	w.I64(int64(r.FallbackWindows))
-	w.I64(int64(r.DeadlineMisses))
-	w.I64(int64(r.RetransmitPackets))
-	w.F64(float64(r.RetransmitEnergy))
-	w.F64(float64(r.BrownOutEnergy))
-	w.I64(int64(r.FaultWindows))
-	w.F64(r.FaultMAE)
-	w.I64(int64(r.BeliefBins))
-	w.I64(int64(r.GatedOffloads))
-	w.F64(r.BeliefWidthMean)
-	w.F64(r.BeliefCoverage)
 }
 
 func decodeResult(rd *snapshot.Reader, r *Result) {
-	r.SimulatedSeconds = rd.F64()
-	r.Predictions = int(rd.I64())
-	r.SimpleRuns = int(rd.I64())
-	r.Offloaded = int(rd.I64())
-	r.SkippedWindows = int(rd.I64())
-	r.LinkDownWindows = int(rd.I64())
-	r.Reselections = int(rd.I64())
-	r.MAE = rd.F64()
-	r.Watch.Compute = power.Energy(rd.F64())
-	r.Watch.Radio = power.Energy(rd.F64())
-	r.Watch.Idle = power.Energy(rd.F64())
-	r.Watch.Sensors = power.Energy(rd.F64())
-	r.PhoneEnergy = power.Energy(rd.F64())
-	r.BatteryDrain = power.Energy(rd.F64())
+	ints, f64s, energies := resultFields(r)
+	for _, p := range ints {
+		*p = int(rd.I64())
+	}
+	for _, p := range f64s {
+		*p = rd.F64()
+	}
+	for _, p := range energies {
+		*p = power.Energy(rd.F64())
+	}
 	r.BatteryExhausted = rd.Bool()
-	r.FinalSoC = rd.F64()
 	r.ActiveConfig = rd.String()
 	r.FaultScenario = rd.String()
 	r.FaultSeed = rd.U64()
-	r.Retries = int(rd.I64())
-	r.Timeouts = int(rd.I64())
-	r.SupervisionDrops = int(rd.I64())
-	r.FallbackWindows = int(rd.I64())
-	r.DeadlineMisses = int(rd.I64())
-	r.RetransmitPackets = int(rd.I64())
-	r.RetransmitEnergy = power.Energy(rd.F64())
-	r.BrownOutEnergy = power.Energy(rd.F64())
-	r.FaultWindows = int(rd.I64())
-	r.FaultMAE = rd.F64()
-	r.BeliefBins = int(rd.I64())
-	r.GatedOffloads = int(rd.I64())
-	r.BeliefWidthMean = rd.F64()
-	r.BeliefCoverage = rd.F64()
 }

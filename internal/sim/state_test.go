@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -133,7 +135,7 @@ func TestRunStateConfigMismatch(t *testing.T) {
 	}
 
 	stc = *st
-	stc.ActiveConfig = "no-such-config"
+	stc.Carry.Active = "no-such-config"
 	if err := RunState(base, &stc, 0); err == nil {
 		t.Error("unknown active configuration accepted")
 	}
@@ -178,14 +180,65 @@ func TestDecodeStateValidation(t *testing.T) {
 		{"negative WI", func(st *State) { st.WI = -3 }},
 		{"negative T", func(st *State) { st.T = -1 }},
 		{"belief flag without posterior", func(st *State) { st.HasBelief = true }},
-		{"started without config", func(st *State) { st.Started = true; st.ActiveConfig = "" }},
+		{"started without config", func(st *State) { st.Started = true; st.Carry.Active = "" }},
 	}
 	for _, tc := range mut {
-		st := &State{Started: true, ActiveConfig: "cfg", T: 10, WI: 5}
+		st := &State{Started: true, Carry: Carry{Active: "cfg"}, T: 10, WI: 5}
 		tc.mod(st)
 		blob := EncodeState(st, 1)
 		if _, err := DecodeState(blob, 1); !errors.Is(err, snapshot.ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", tc.name, err)
 		}
+	}
+}
+
+// TestDecodeStateRejectsOldLayout: testdata/state_kind2.chss is a
+// mid-run state in the layout before the offload machine's shared carry
+// (snapshot kind 2). It must be rejected as stale, never misread.
+func TestDecodeStateRejectsOldLayout(t *testing.T) {
+	old, err := os.ReadFile("testdata/state_kind2.chss")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeState(old, 0xc0ffee); !errors.Is(err, snapshot.ErrStale) {
+		t.Errorf("old-layout state: err = %v, want ErrStale", err)
+	}
+}
+
+// TestStateCodecCoversResult: every Result field survives the state
+// codec, so a field missing from resultFields cannot go unnoticed.
+func TestStateCodecCoversResult(t *testing.T) {
+	st := &State{Started: true, Carry: Carry{Active: "cfg"}}
+	v := reflect.ValueOf(&st.Res).Elem()
+	var fill func(v reflect.Value, n *int)
+	fill = func(v reflect.Value, n *int) {
+		*n++
+		switch v.Kind() {
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				fill(v.Field(i), n)
+			}
+		case reflect.Int:
+			v.SetInt(int64(*n))
+		case reflect.Uint64:
+			v.SetUint(uint64(*n))
+		case reflect.Float64:
+			v.SetFloat(float64(*n) + 0.5)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString(fmt.Sprint("s", *n))
+		default:
+			t.Fatalf("unhandled Result field kind %v", v.Kind())
+		}
+	}
+	n := 0
+	fill(v, &n)
+	got, err := DecodeState(EncodeState(st, 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.Res, st.Res) {
+		t.Fatalf("result round trip:\n%+v\nvs\n%+v", got.Res, st.Res)
 	}
 }

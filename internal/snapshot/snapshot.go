@@ -37,17 +37,22 @@ import (
 const Version = 1
 
 // Kind namespaces payload schemas within the shared frame, so a fleet
-// user-state file can never be restored into a serve engine.
+// user-state file can never be restored into a serve engine. A payload
+// layout change takes a new Kind value and never reuses a retired one,
+// so a frame in an old layout is rejected as ErrStale instead of being
+// misread.
 type Kind uint16
 
+// Kinds 1–3 are retired: the engine, sim-state and session layouts that
+// encoded the offload machine's carry in two different ways.
 const (
 	// KindServeEngine frames a serve.EngineSnapshot payload.
-	KindServeEngine Kind = 1
+	KindServeEngine Kind = 4
 	// KindSimState frames a sim.State payload.
-	KindSimState Kind = 2
+	KindSimState Kind = 5
 	// KindServeSession frames one serve session's state — the live
 	// migration unit (Engine.Detach / Engine.Attach).
-	KindServeSession Kind = 3
+	KindServeSession Kind = 6
 )
 
 // ErrCorrupt reports damaged bytes: bad magic, failed CRC, truncation, or
