@@ -127,58 +127,16 @@ func TestRecordCacheRejectsTruncatedFile(t *testing.T) {
 }
 
 func TestRecordCacheRejectsForeignFile(t *testing.T) {
-	// A legacy gob stream is not a columnar cache and must read as a miss.
+	// An old gob cache (magic "CHRR", version 2, then a gob stream) is not
+	// a columnar cache and must read as a miss.
 	path := filepath.Join(t.TempDir(), "old.gob")
-	recs := sampleRecords(3)
-	if err := seedGobSaveRecords(path, recs); err != nil {
+	data := append([]byte("CHRR\x02\x00\x00\x00"), bytes.Repeat([]byte{0x7f}, 256)...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadRecords(path, len(recs)); err == nil {
-		t.Fatal("legacy gob cache accepted by the columnar loader")
+	if _, err := loadRecords(path, 3); err == nil {
+		t.Fatal("gob cache accepted by the columnar loader")
 	}
-}
-
-func TestMigrateGobRecords(t *testing.T) {
-	recs := sampleRecords(11)
-	dir := t.TempDir()
-	gobPath := filepath.Join(dir, "records.gob")
-	colPath := filepath.Join(dir, "records.chrc")
-
-	// seedGobSaveRecords (kernels.go) reproduces the legacy format
-	// exactly as PR 2 wrote it.
-	if err := seedGobSaveRecords(gobPath, recs); err != nil {
-		t.Fatal(err)
-	}
-
-	// A stale gob (wrong record count) must be dropped without producing
-	// a columnar file.
-	if _, err := migrateGobRecords(gobPath, colPath, len(recs)+1); err == nil {
-		t.Fatal("stale gob migrated")
-	}
-	if _, err := os.Stat(colPath); !os.IsNotExist(err) {
-		t.Fatal("stale gob produced a columnar file")
-	}
-	if _, err := os.Stat(gobPath); !os.IsNotExist(err) {
-		t.Fatal("stale gob survived migration")
-	}
-
-	// Rewrite it and migrate for real.
-	if err := seedGobSaveRecords(gobPath, recs); err != nil {
-		t.Fatal(err)
-	}
-	migrated, err := migrateGobRecords(gobPath, colPath, len(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsEqual(t, migrated, recs)
-	if _, err := os.Stat(gobPath); !os.IsNotExist(err) {
-		t.Fatal("gob file survived migration")
-	}
-	got, err := loadRecords(colPath, len(recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsEqual(t, got, recs)
 }
 
 // TestSuiteRecordResumeByteIdentical kills a record build mid-suite (the

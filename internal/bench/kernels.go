@@ -1,11 +1,7 @@
 package bench
 
 import (
-	"encoding/binary"
-	"encoding/gob"
 	"math"
-	"math/bits"
-	"math/cmplx"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -21,8 +17,7 @@ import (
 )
 
 // KernelResult is one measured hot-path kernel, in the shape BENCH_*.json
-// stores: optimized implementations next to their seed-equivalent
-// references, so every perf PR leaves a comparable datapoint behind.
+// stores, so every perf PR leaves a comparable datapoint behind.
 type KernelResult struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
@@ -51,7 +46,7 @@ func runKernelScaled(name string, scale int, fn func(b *testing.B)) KernelResult
 }
 
 // KernelBenchmarks measures the DSP and TCN kernels this repository
-// optimizes, each against the seed implementation it replaced.
+// optimizes, batched forms next to their serial references.
 func KernelBenchmarks() []KernelResult {
 	sig := make([]float64, 256)
 	for i := range sig {
@@ -149,37 +144,11 @@ func KernelBenchmarks() []KernelResult {
 		sb2[i] = int8(rng.Intn(255) - 127)
 	}
 
-	// Float32 spectral path: the deployed Plan32 kernels next to their
-	// float64 references at the pipeline's window size (256) and at 4096,
-	// where the halved working set also matters.
-	sig32 := make([]float32, 256)
-	for i := range sig32 {
-		sig32[i] = float32(sig[i])
-	}
-	plan32 := dsp.NewPlan32(256)
-	spec32 := make([]complex64, 129)
-	pow32 := make([]float32, 129)
-	sig4k := make([]float64, 4096)
-	sig4k32 := make([]float32, 4096)
-	for i := range sig4k {
-		sig4k[i] = math.Sin(float64(i) / 3)
-		sig4k32[i] = float32(sig4k[i])
-	}
-	plan4k := dsp.NewPlan(4096)
-	plan4k32 := dsp.NewPlan32(4096)
-	spec4k := make([]complex128, 2049)
-	spec4k32 := make([]complex64, 2049)
-	pow4k := make([]float64, 2049)
-	pow4k32 := make([]float32, 2049)
-
-	// Whole-estimator spectral windows: the float64 SpectralTrack window
-	// (the seed-equivalent reference for the deployed path) against the
-	// float32 path on the same synthetic cardiac-band window.
-	est64 := spectral.New()
-	est32 := spectral.New32()
+	// Whole-estimator spectral window: the SpectralTrack estimate on a
+	// synthetic cardiac-band window.
+	est := spectral.New()
 	specWin := spectralBenchWindow()
-	est64.EstimateHR(specWin)
-	est32.EstimateHR(specWin)
+	est.EstimateHR(specWin)
 
 	results := []KernelResult{
 		runKernel("RealFFT256/plan", func(b *testing.B) {
@@ -194,70 +163,16 @@ func KernelBenchmarks() []KernelResult {
 				plan.PowerSpectrumInto(pow, sig)
 			}
 		}),
-		runKernel("PowerSpectrum256/seed", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				seedPowerSpectrum(sig)
-			}
-		}),
-		runKernel("Fft32_256/plan32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan32.RealFFTInto(spec32, sig32)
-			}
-		}),
-		runKernel("PowerSpectrum32_256/plan32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan32.PowerSpectrumInto(pow32, sig32)
-			}
-		}),
-		runKernel("RealFFT4096/plan", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan4k.RealFFTInto(spec4k, sig4k)
-			}
-		}),
-		runKernel("Fft32_4096/plan32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan4k32.RealFFTInto(spec4k32, sig4k32)
-			}
-		}),
-		runKernel("PowerSpectrum4096/plan", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan4k.PowerSpectrumInto(pow4k, sig4k)
-			}
-		}),
-		runKernel("PowerSpectrum32_4096/plan32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				plan4k32.PowerSpectrumInto(pow4k32, sig4k32)
-			}
-		}),
 		runKernel("SpectralWindow64/f64seed", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				est64.EstimateHR(specWin)
-			}
-		}),
-		runKernel("SpectralWindow32/f32", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				est32.EstimateHR(specWin)
+				est.EstimateHR(specWin)
 			}
 		}),
 		runKernel("Conv1DForward48x128/opt", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				conv.Forward(x)
-			}
-		}),
-		runKernel("Conv1DForward48x128/seed", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				seedConvForward(conv, x)
 			}
 		}),
 		runKernel("TimePPGSmallForward", func(b *testing.B) {
@@ -364,16 +279,15 @@ func KernelBenchmarks() []KernelResult {
 	return append(results, serveKernels()...)
 }
 
-// cacheRecordCount sizes the record-cache kernels: large enough that the
-// gob baseline's full-decode cost is visible, small enough to keep the
-// benchmark I/O trivial (~130 KiB per file).
+// cacheRecordCount sizes the record-cache kernels: large enough that a
+// full decode is visible next to the first-record latency, small enough to
+// keep the benchmark I/O trivial (~130 KiB per file).
 const cacheRecordCount = 4096
 
-// cacheKernels measures the columnar record cache against the gob format
-// it replaced: bulk encode, bulk decode, streaming iteration, and —
-// the number the format exists for — decode-to-first-record latency,
-// where gob must decode the whole stream before the first record is
-// usable while the columnar reader touches one header and one block.
+// cacheKernels measures the columnar record cache: bulk encode, bulk
+// decode, streaming iteration, and — the number the format exists for —
+// decode-to-first-record latency, where the columnar reader touches one
+// header and one block.
 func cacheKernels() []KernelResult {
 	recs := cacheSampleRecords(cacheRecordCount)
 	dir, err := os.MkdirTemp("", "chris-cache-kernels-*")
@@ -386,10 +300,6 @@ func cacheKernels() []KernelResult {
 	if err := saveRecords(colPath, recs); err != nil {
 		panic("bench: cache kernel columnar seed: " + err.Error())
 	}
-	gobPath := filepath.Join(dir, "records.gob")
-	if err := seedGobSaveRecords(gobPath, recs); err != nil {
-		panic("bench: cache kernel gob seed: " + err.Error())
-	}
 	encPath := filepath.Join(dir, "encode.tmp")
 
 	return []KernelResult{
@@ -401,26 +311,10 @@ func cacheKernels() []KernelResult {
 				}
 			}
 		}),
-		runKernelScaled("CacheEncode4096x3/gobseed", cacheRecordCount, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := seedGobSaveRecords(encPath, recs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
 		runKernelScaled("CacheDecode4096x3/columnar", cacheRecordCount, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := loadRecords(colPath, cacheRecordCount); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		runKernelScaled("CacheDecode4096x3/gobseed", cacheRecordCount, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := loadLegacyGobRecords(gobPath); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -441,15 +335,6 @@ func cacheKernels() []KernelResult {
 				})
 				r.Close()
 				if err != nil || !got {
-					b.Fatal("no first record")
-				}
-			}
-		}),
-		runKernel("CacheFirstRecord/gobseed", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rs, err := loadLegacyGobRecords(gobPath)
-				if err != nil || rs[0].TrueHR <= 0 {
 					b.Fatal("no first record")
 				}
 			}
@@ -513,109 +398,4 @@ func cacheSampleRecords(n int) []core.WindowRecord {
 		}
 	}
 	return recs
-}
-
-// seedGobSaveRecords reproduces the gob record cache the columnar format
-// replaced (PR 2's saveRecords): magic + version, then one gob stream of
-// header names and flat columns.
-func seedGobSaveRecords(path string, recs []core.WindowRecord) error {
-	var rf legacyRecordFile
-	rf.Names = recs[0].Header.Names()
-	m := len(rf.Names)
-	rf.TrueHR = make([]float64, len(recs))
-	rf.Activity = make([]dalia.Activity, len(recs))
-	rf.Difficulty = make([]int, len(recs))
-	rf.Preds = make([]float64, 0, len(recs)*m)
-	for i := range recs {
-		rf.TrueHR[i] = recs[i].TrueHR
-		rf.Activity[i] = recs[i].Activity
-		rf.Difficulty[i] = recs[i].Difficulty
-		rf.Preds = append(rf.Preds, recs[i].Preds...)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.WriteString(legacyGobMagic); err != nil {
-		return err
-	}
-	if err := binary.Write(f, binary.LittleEndian, legacyGobVersion); err != nil {
-		return err
-	}
-	return gob.NewEncoder(f).Encode(rf)
-}
-
-// seedPowerSpectrum reproduces the pre-plan spectral path: a full complex
-// FFT with per-stage cmplx.Exp twiddle recurrence and two allocations per
-// call.
-func seedPowerSpectrum(x []float64) []float64 {
-	buf := make([]complex128, len(x))
-	for i, v := range x {
-		buf[i] = complex(v, 0)
-	}
-	n := len(buf)
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			buf[i], buf[j] = buf[j], buf[i]
-		}
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size / 2
-		wStep := cmplx.Exp(complex(0, -2*math.Pi/float64(size)))
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
-				a := buf[start+k]
-				b := buf[start+k+half] * w
-				buf[start+k] = a + b
-				buf[start+k+half] = a - b
-				w *= wStep
-			}
-		}
-	}
-	out := make([]float64, n/2+1)
-	for i := range out {
-		re, im := real(buf[i]), imag(buf[i])
-		out[i] = re*re + im*im
-	}
-	return out
-}
-
-// seedConvForward reproduces the pre-optimization convolution: per-sample
-// padding bounds checks in the innermost loop and a fresh output tensor
-// per call.
-func seedConvForward(l *tcn.Conv1D, x *tcn.Tensor) *tcn.Tensor {
-	_, outT := l.OutShape(x.C, x.T)
-	y := tcn.NewTensor(l.OutC, outT)
-	total := (l.Kernel - 1) * l.Dilation
-	padL := total - total/2
-	K, D, S := l.Kernel, l.Dilation, l.Stride
-	for o := 0; o < l.OutC; o++ {
-		yRow := y.Row(o)
-		bias := l.Bias.W[o]
-		for t := range yRow {
-			yRow[t] = bias
-		}
-		for ci := 0; ci < l.InC; ci++ {
-			xRow := x.Row(ci)
-			wBase := (o*l.InC + ci) * K
-			for k := 0; k < K; k++ {
-				w := l.Weight.W[wBase+k]
-				if w == 0 {
-					continue
-				}
-				off := k*D - padL
-				for t := 0; t < outT; t++ {
-					src := t*S + off
-					if src >= 0 && src < x.T {
-						yRow[t] += w * xRow[src]
-					}
-				}
-			}
-		}
-	}
-	return y
 }

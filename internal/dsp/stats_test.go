@@ -93,6 +93,23 @@ func TestSkewKurtConstantSignal(t *testing.T) {
 	}
 }
 
+func TestStatsEmptyAndDegenerate(t *testing.T) {
+	if Mean(nil) != 0 || Std(nil) != 0 || RMS(nil) != 0 || Median(nil) != 0 ||
+		MAD(nil) != 0 || Skewness(nil) != 0 || Kurtosis(nil) != 0 {
+		t.Error("empty-slice statistics must be 0")
+	}
+	flat := make([]float64, 16)
+	if Skewness(flat) != 0 || Kurtosis(flat) != 0 {
+		t.Error("zero-spread higher moments must be 0")
+	}
+	if ZeroCrossings(flat[:1]) != 0 || DerivativeSignChanges(flat[:2]) != 0 {
+		t.Error("short-slice counts must be 0")
+	}
+	if short := []float64{3}; Detrend(short)[0] != 3 {
+		t.Error("length-1 Detrend input must be untouched")
+	}
+}
+
 func TestZeroCrossings(t *testing.T) {
 	// Square-ish wave around its mean (mean 0): + + - - + + - -
 	x := []float64{1, 1, -1, -1, 1, 1, -1, -1}
