@@ -204,8 +204,8 @@ func KernelBenchmarks() []KernelResult {
 				small.ForwardBatch(inB, outB)
 			}
 		}),
-		// Int8 deployed path: the serial qConv kernels (the seed-equivalent
-		// reference) against the batched int8 GEMM form.
+		// Int8 deployed path: one window through the im2col + int8 GEMM
+		// lowering (a batch of one) against a 32-window batch of it.
 		runKernel("QuantBigForward/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -218,8 +218,8 @@ func KernelBenchmarks() []KernelResult {
 				qbig.ForwardBatch(inB, outB)
 			}
 		}),
-		// Deployed int8 TimePPG-Small (the wearable-side network): serial
-		// reference vs the cross-sample batch path.
+		// Deployed int8 TimePPG-Small (the wearable-side network): one
+		// window through the lowering vs the cross-sample batch path.
 		runKernel("QuantSmallForward/serial", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -48,13 +48,16 @@
 // backprop all funnel through them via im2col (internal/models/tcn),
 // per-sample for TimePPG-Big and packed across the batch for
 // TimePPG-Small's small panels (the cross-sample lowering; see
-// tcn.crossSampleMaxPanel).
+// tcn.crossSampleMaxPanel). All int8 inference takes this route, one
+// window included: QuantNetwork.Forward is a batch of one, so the
+// per-window int8 TimePPG-Small of every simulated day and every
+// single-window serve chunk runs on the S8/S8NT panels.
 //
 // BENCH kernels: GemmF32_48x144x128 and GemmS8_48x144x128 measure the raw
 // kernels at a representative TimePPG-Big convolution shape,
 // GemmF32_8x24x{32,1024} and GemmS8_8x24x{32,1024} at the TimePPG-Small
 // final-block shape per-sample and at the cross-sample width;
 // TimePPG{Small,Big}ForwardBatch32/win and Quant{Small,Big}ForwardBatch32/win
-// measure them through the full networks against the serial references
+// measure them through the full networks, next to the one-window rows
 // (BENCH_*.json, written by chrisbench -json).
 package gemm

@@ -82,14 +82,14 @@ func (c *Classifier) Classify(w *dalia.Window) dalia.Activity {
 
 // PredictVector votes over a prepared feature vector.
 func (c *Classifier) PredictVector(x []float64) int {
-	votes := make(map[int]int)
+	var votes [dalia.NumActivities]int
 	for _, t := range c.trees {
 		votes[t.predict(x)]++
 	}
 	best, bestN := 0, -1
 	// Iterate classes in order for deterministic tie breaking.
-	for cl := 0; cl < dalia.NumActivities; cl++ {
-		if n := votes[cl]; n > bestN {
+	for cl, n := range votes {
+		if n > bestN {
 			best, bestN = cl, n
 		}
 	}

@@ -144,6 +144,31 @@ func TestPredictVectorQuick(t *testing.T) {
 	}
 }
 
+// TestPredictVectorTieBreaksToLowerClass votes a hand-built two-tree forest
+// into a one-to-one tie: the lower class must win whichever tree holds it,
+// and the vote must not allocate.
+func TestPredictVectorTieBreaksToLowerClass(t *testing.T) {
+	split := &treeNode{Feature: 0, Threshold: 0.5,
+		Left: &treeNode{Class: 7}, Right: &treeNode{Class: 1}}
+	for _, trees := range [][]*treeNode{
+		{split, {Class: 4}},
+		{{Class: 4}, split},
+	} {
+		cls := &Classifier{trees: trees}
+		if got := cls.PredictVector([]float64{0}); got != 4 {
+			t.Errorf("tie between classes 7 and 4 resolved to %d, want 4", got)
+		}
+		if got := cls.PredictVector([]float64{1}); got != 1 {
+			t.Errorf("tie between classes 1 and 4 resolved to %d, want 1", got)
+		}
+	}
+	cls := &Classifier{trees: []*treeNode{split, {Class: 4}}}
+	x := []float64{1}
+	if n := testing.AllocsPerRun(100, func() { cls.PredictVector(x) }); n != 0 {
+		t.Errorf("PredictVector allocates %v per call", n)
+	}
+}
+
 func TestGiniHelpers(t *testing.T) {
 	y := []int{0, 0, 1, 1}
 	idx := []int{0, 1, 2, 3}

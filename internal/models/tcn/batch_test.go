@@ -250,9 +250,10 @@ func TestNetworkForwardBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestQuantForwardBatchMatchesSerial pins the int8 deployment path: the
-// im2col+S8-GEMM batch kernels must reproduce QuantNetwork.Forward
-// bitwise (int32 accumulation is exact, rescale expressions identical).
+// TestQuantForwardBatchMatchesSerial pins the int8 deployment path against
+// the scalar direct-convolution oracle refQuantForward: both the one-window
+// Forward and the im2col+S8-GEMM ForwardBatch must reproduce it bitwise
+// (int32 accumulation is exact, rescale expressions identical).
 func TestQuantForwardBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	for _, build := range []func() *Network{NewTimePPGSmall, NewTimePPGBig} {
@@ -266,7 +267,6 @@ func TestQuantForwardBatchMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := q.CloneForWorker()
 		sizes := batchSizes
 		if net.Topology == BigName {
 			sizes = []int{1, 3, 5}
@@ -277,10 +277,14 @@ func TestQuantForwardBatchMatchesSerial(t *testing.T) {
 			q.ForwardBatch(xb, out)
 			for n := 0; n < N; n++ {
 				xs := xb.SampleTensor(n)
-				want := ref.Forward(&xs)
+				want := refQuantForward(q, &xs)
 				if out[n] != want {
-					t.Fatalf("%s int8 N=%d sample %d: batch %v, serial %v (must be bitwise equal)",
+					t.Fatalf("%s int8 N=%d sample %d: batch %v, reference %v (must be bitwise equal)",
 						net.Topology, N, n, out[n], want)
+				}
+				if got := q.Forward(&xs); got != want {
+					t.Fatalf("%s int8 N=%d sample %d: Forward %v, reference %v (must be bitwise equal)",
+						net.Topology, N, n, got, want)
 				}
 			}
 		}

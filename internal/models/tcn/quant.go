@@ -65,39 +65,11 @@ func cloneLayerDeep(l Layer) Layer {
 	}
 }
 
-// qOp is one stage of the quantized pipeline. forwardBatch (see
-// quantbatch.go) must be bitwise identical to forward per sample.
+// qOp is one stage of the quantized pipeline: the im2col + int8 GEMM
+// lowering in quantbatch.go, the only int8 forward implementation.
 type qOp interface {
-	forward(x *qTensor) *qTensor
 	forwardBatch(x *qBatchTensor) *qBatchTensor
 	macs() int64
-}
-
-// qTensor is an int8 activation tensor with its dequantization scale.
-type qTensor struct {
-	C, T  int
-	Data  []int8
-	Scale float32 // real value = Data * Scale
-}
-
-// ensureQTensor is the int8 twin of ensureTensor: ops keep their output
-// tensors in slots so steady-state quantized inference does not allocate.
-func ensureQTensor(slot **qTensor, c, t int, scale float32) *qTensor {
-	q := *slot
-	if q == nil || q.C != c || q.T != t {
-		q = &qTensor{C: c, T: t, Data: make([]int8, c*t)}
-		*slot = q
-	}
-	q.Scale = scale
-	return q
-}
-
-func quantizeTensorInto(slot **qTensor, x *Tensor, scale float32) *qTensor {
-	q := ensureQTensor(slot, x.C, x.T, scale)
-	for i, v := range x.Data {
-		q.Data[i] = clampI8(float32(math.Round(float64(v / scale))))
-	}
-	return q
 }
 
 func clampI8(v float32) int8 {
@@ -120,9 +92,8 @@ type qConv struct {
 	inScale, outScale                   float32
 	relu                                bool
 	inT                                 int
-	out                                 *qTensor
 
-	// Batched-path arenas (see quantbatch.go).
+	// Activation arenas (see quantbatch.go).
 	outB   *qBatchTensor
 	colBuf []int8
 	accBuf []int32
@@ -131,34 +102,6 @@ type qConv struct {
 func (l *qConv) padLeft() int {
 	total := (l.kernel - 1) * l.dilation
 	return total - total/2
-}
-
-func (l *qConv) forward(x *qTensor) *qTensor {
-	outT := (x.T-1)/l.stride + 1
-	y := ensureQTensor(&l.out, l.outC, outT, l.outScale)
-	padL := l.padLeft()
-	for o := 0; o < l.outC; o++ {
-		mult := l.inScale * l.wScale[o] / l.outScale
-		for t := 0; t < outT; t++ {
-			acc := l.bias[o]
-			for ci := 0; ci < l.inC; ci++ {
-				wBase := (o*l.inC + ci) * l.kernel
-				xBase := ci * x.T
-				for k := 0; k < l.kernel; k++ {
-					src := t*l.stride + k*l.dilation - padL
-					if src >= 0 && src < x.T {
-						acc += int32(l.weight[wBase+k]) * int32(x.Data[xBase+src])
-					}
-				}
-			}
-			v := float32(math.Round(float64(float32(acc) * mult)))
-			if l.relu && v < 0 {
-				v = 0
-			}
-			y.Data[o*outT+t] = clampI8(v)
-		}
-	}
-	return y
 }
 
 func (l *qConv) macs() int64 {
@@ -177,37 +120,11 @@ type qDense struct {
 	outScale float32
 	relu     bool
 	last     bool
-	lastOut  []float32
-	outBuf   *qTensor
 
-	// Batched-path arenas (see quantbatch.go).
+	// Activation arenas (see quantbatch.go).
 	outBB    *qBatchTensor
 	accBuf   []int32
 	lastOutB []float32
-}
-
-func (l *qDense) forward(x *qTensor) *qTensor {
-	if l.last && l.lastOut == nil {
-		l.lastOut = make([]float32, l.out)
-	}
-	y := ensureQTensor(&l.outBuf, l.out, 1, l.outScale)
-	for o := 0; o < l.out; o++ {
-		acc := l.bias[o]
-		row := l.weight[o*l.in : (o+1)*l.in]
-		for i, xv := range x.Data {
-			acc += int32(row[i]) * int32(xv)
-		}
-		realV := float32(acc) * l.inScale * l.wScale[o]
-		if l.relu && realV < 0 {
-			realV = 0
-		}
-		if l.last {
-			l.lastOut[o] = realV
-			continue
-		}
-		y.Data[o] = clampI8(float32(math.Round(float64(realV / l.outScale))))
-	}
-	return y
 }
 
 func (l *qDense) macs() int64 { return int64(l.in) * int64(l.out) }
@@ -221,8 +138,7 @@ type QuantNetwork struct {
 	norm     *InputNorm
 	inScale  float32
 	ops      []qOp
-	qin      *qTensor      // reused quantized-input buffer
-	qinB     *qBatchTensor // batched twin of qin
+	qinB     *qBatchTensor // reused quantized-input buffer
 }
 
 // CloneForWorker returns a copy sharing the immutable int8 weights and
@@ -236,13 +152,10 @@ func (q *QuantNetwork) CloneForWorker() *QuantNetwork {
 		switch v := op.(type) {
 		case *qConv:
 			cp := *v
-			cp.out = nil
 			cp.outB, cp.colBuf, cp.accBuf = nil, nil, nil
 			c.ops[i] = &cp
 		case *qDense:
 			cp := *v
-			cp.outBuf = nil
-			cp.lastOut = nil
 			cp.outBB, cp.accBuf, cp.lastOutB = nil, nil, nil
 			c.ops[i] = &cp
 		default:
@@ -325,35 +238,11 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 			qc := &qConv{
 				inC: v.InC, outC: v.OutC, kernel: v.Kernel,
 				dilation: v.Dilation, stride: v.Stride,
-				weight:   make([]int8, len(v.Weight.W)),
-				wScale:   make([]float32, v.OutC),
-				bias:     make([]int32, v.OutC),
 				inScale:  inScale,
 				outScale: scaleOf(li),
 				inT:      curT,
 			}
-			perCh := v.InC * v.Kernel
-			for o := 0; o < v.OutC; o++ {
-				var m float32
-				for j := 0; j < perCh; j++ {
-					a := v.Weight.W[o*perCh+j]
-					if a < 0 {
-						a = -a
-					}
-					if a > m {
-						m = a
-					}
-				}
-				if m == 0 {
-					m = 1
-				}
-				s := m / 127
-				qc.wScale[o] = s
-				for j := 0; j < perCh; j++ {
-					qc.weight[o*perCh+j] = clampI8(float32(math.Round(float64(v.Weight.W[o*perCh+j] / s))))
-				}
-				qc.bias[o] = int32(math.Round(float64(v.Bias.W[o] / (inScale * s))))
-			}
+			qc.weight, qc.wScale, qc.bias = quantizeRows(v.Weight.W, v.Bias.W, inScale)
 			q.ops = append(q.ops, qc)
 			inScale = qc.outScale
 			curT = (curT-1)/v.Stride + 1
@@ -363,34 +252,11 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 			denseSeen++
 			qd := &qDense{
 				in: v.In, out: v.Out,
-				weight:   make([]int8, len(v.Weight.W)),
-				wScale:   make([]float32, v.Out),
-				bias:     make([]int32, v.Out),
 				inScale:  inScale,
 				outScale: scaleOf(li),
 				last:     denseSeen == totalDense,
 			}
-			for o := 0; o < v.Out; o++ {
-				var m float32
-				for j := 0; j < v.In; j++ {
-					a := v.Weight.W[o*v.In+j]
-					if a < 0 {
-						a = -a
-					}
-					if a > m {
-						m = a
-					}
-				}
-				if m == 0 {
-					m = 1
-				}
-				s := m / 127
-				qd.wScale[o] = s
-				for j := 0; j < v.In; j++ {
-					qd.weight[o*v.In+j] = clampI8(float32(math.Round(float64(v.Weight.W[o*v.In+j] / s))))
-				}
-				qd.bias[o] = int32(math.Round(float64(v.Bias.W[o] / (inScale * s))))
-			}
+			qd.weight, qd.wScale, qd.bias = quantizeRows(v.Weight.W, v.Bias.W, inScale)
 			q.ops = append(q.ops, qd)
 			inScale = qd.outScale
 		default:
@@ -400,21 +266,46 @@ func Quantize(n *Network, calib []*Tensor) (*QuantNetwork, error) {
 	return q, nil
 }
 
-// Forward runs int8 inference and returns the scalar float output.
-func (q *QuantNetwork) Forward(x *Tensor) float32 {
-	normed := q.norm.Forward(x)
-	cur := quantizeTensorInto(&q.qin, normed, q.inScale)
-	var lastDense *qDense
-	for _, op := range q.ops {
-		cur = op.forward(cur)
-		if d, ok := op.(*qDense); ok && d.last {
-			lastDense = d
+// quantizeRows quantizes a weight matrix with one row per output channel
+// (len(bias) rows) to int8 under a symmetric per-row scale, and each bias
+// at inScale·wScale[o], the scale of that row's int32 accumulator.
+func quantizeRows(w, bias []float32, inScale float32) (qw []int8, wScale []float32, qb []int32) {
+	perRow := len(w) / len(bias)
+	qw = make([]int8, len(w))
+	wScale = make([]float32, len(bias))
+	qb = make([]int32, len(bias))
+	for o := range bias {
+		row := w[o*perRow : (o+1)*perRow]
+		var m float32
+		for _, a := range row {
+			if a < 0 {
+				a = -a
+			}
+			if a > m {
+				m = a
+			}
 		}
+		if m == 0 {
+			m = 1
+		}
+		s := m / 127
+		wScale[o] = s
+		for j, a := range row {
+			qw[o*perRow+j] = clampI8(float32(math.Round(float64(a / s))))
+		}
+		qb[o] = int32(math.Round(float64(bias[o] / (inScale * s))))
 	}
-	if lastDense == nil || len(lastDense.lastOut) != 1 {
-		panic("tcn: quantized network lacks a scalar head")
-	}
-	return lastDense.lastOut[0]
+	return qw, wScale, qb
+}
+
+// Forward runs int8 inference on one window and returns the scalar float
+// output. It is a one-sample view over ForwardBatch, so a single window
+// takes the same im2col + int8 GEMM lowering as a batch.
+func (q *QuantNetwork) Forward(x *Tensor) float32 {
+	one := BatchTensor{N: 1, C: x.C, T: x.T, Data: x.Data}
+	var z [1]float32
+	q.ForwardBatch(&one, z[:])
+	return z[0]
 }
 
 // MACs returns the int8 multiply-accumulate count per inference.

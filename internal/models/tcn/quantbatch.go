@@ -7,21 +7,20 @@ import (
 	"repro/internal/gemm"
 )
 
-// This file is the batched form of the int8 deployment path: the same
-// im2col + GEMM lowering as the float batch kernels, but with int8
-// operands, int32 accumulators and the per-output-channel rescale of the
-// serial ops. Integer accumulation is exact, and the rescale applies the
-// identical float expressions element-wise, so batched int8 inference is
-// bitwise identical to QuantNetwork.Forward run window by window — the
-// property the record builder and the paper tables rely on for the
-// deployed wearable path.
+// This file is the int8 forward path, batched or not: the same im2col +
+// GEMM lowering as the float batch kernels, but with int8 operands, int32
+// accumulators and a per-output-channel float rescale between layers.
+// QuantNetwork.Forward runs one window through it as a batch of one.
+// Integer accumulation is exact and the rescale is element-wise, so every
+// window's output is independent of the batch it rides in — the property
+// the record builder, the serve coalescer and the paper tables rely on.
 
 // qBatchTensor is the batched int8 activation tensor, sample-major like
-// BatchTensor: element (n, c, t) lives at Data[(n*C+c)*T+t].
+// BatchTensor: element (n, c, t) lives at Data[(n*C+c)*T+t]. Its
+// dequantization scale is the outScale of the op that wrote it.
 type qBatchTensor struct {
 	N, C, T int
 	Data    []int8
-	Scale   float32
 }
 
 // Sample returns the contiguous C×T int8 block of sample n.
@@ -32,7 +31,7 @@ func (x *qBatchTensor) Sample(n int) []int8 {
 
 // ensureQBatchTensor mirrors ensureBatchTensor for int8 data
 // (capacity-based reuse, contents not cleared).
-func ensureQBatchTensor(slot **qBatchTensor, n, c, t int, scale float32) *qBatchTensor {
+func ensureQBatchTensor(slot **qBatchTensor, n, c, t int) *qBatchTensor {
 	need := n * c * t
 	q := *slot
 	if q == nil {
@@ -44,24 +43,22 @@ func ensureQBatchTensor(slot **qBatchTensor, n, c, t int, scale float32) *qBatch
 		q.Data = q.Data[:need]
 	}
 	q.N, q.C, q.T = n, c, t
-	q.Scale = scale
 	return q
 }
 
-// quantizeBatchInto quantizes a float batch with the same per-element
-// expression as quantizeTensorInto.
+// quantizeBatchInto quantizes a float batch onto the int8 input grid
+// (round to nearest, clamp to ±127).
 func quantizeBatchInto(slot **qBatchTensor, x *BatchTensor, scale float32) *qBatchTensor {
-	q := ensureQBatchTensor(slot, x.N, x.C, x.T, scale)
+	q := ensureQBatchTensor(slot, x.N, x.C, x.T)
 	for i, v := range x.Data {
 		q.Data[i] = clampI8(float32(math.Round(float64(v / scale))))
 	}
 	return q
 }
 
-// rescaleRow applies the per-output-channel rescale of the serial kernel
-// (round, optional fused ReLU, clamp) to one accumulator row — the exact
-// per-element expressions of qConv.forward, shared by the per-sample and
-// cross-sample batch paths.
+// rescaleRow applies the per-output-channel rescale (round, optional
+// fused ReLU, clamp) to one accumulator row, shared by the per-sample and
+// cross-sample lowerings.
 func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
 	mult := l.inScale * l.wScale[o] / l.outScale
 	for t, a := range ar {
@@ -75,13 +72,13 @@ func (l *qConv) rescaleRow(yr []int8, ar []int32, o int) {
 
 // forwardBatch implements qOp for qConv: im2col packing, the int8 GEMM
 // micro-kernel over bias-seeded int32 accumulators, then the
-// per-output-channel rescale of the serial kernel — per sample for large
-// layers, or as one wide cross-sample GEMM (the same lowering and
-// heuristic as the float path; integer accumulation is exact, so the
-// result is identical either way).
+// per-output-channel rescale — per sample for large layers, or as one
+// wide cross-sample GEMM (the same lowering and heuristic as the float
+// path; integer accumulation is exact, so the result is identical either
+// way).
 func (l *qConv) forwardBatch(x *qBatchTensor) *qBatchTensor {
 	outT := (x.T-1)/l.stride + 1
-	y := ensureQBatchTensor(&l.outB, x.N, l.outC, outT, l.outScale)
+	y := ensureQBatchTensor(&l.outB, x.N, l.outC, outT)
 	J := l.inC * l.kernel
 	padL := l.padLeft()
 	if crossSampleWorthIt(x.N, l.outC, outT) {
@@ -127,7 +124,7 @@ func (l *qConv) forwardBatch(x *qBatchTensor) *qBatchTensor {
 
 // forwardBatch implements qOp for qDense: the whole batch is one int8 GEMM
 // against the weight rows (accumulators bias-seeded), followed by the
-// serial rescale — into float for the final head, re-quantized otherwise.
+// rescale — into float for the final head, re-quantized otherwise.
 func (l *qDense) forwardBatch(x *qBatchTensor) *qBatchTensor {
 	N := x.N
 	acc := ensureSlice(&l.accBuf, N*l.out)
@@ -135,18 +132,10 @@ func (l *qDense) forwardBatch(x *qBatchTensor) *qBatchTensor {
 		copy(acc[n*l.out:(n+1)*l.out], l.bias)
 	}
 	gemm.S8NT(acc, x.Data, l.weight, N, l.in, l.out)
-	y := ensureQBatchTensor(&l.outBB, N, l.out, 1, l.outScale)
+	y := ensureQBatchTensor(&l.outBB, N, l.out, 1)
+	var head []float32
 	if l.last {
-		lo := ensureSlice(&l.lastOutB, N*l.out)
-		for i, a := range acc {
-			o := i % l.out
-			realV := float32(a) * l.inScale * l.wScale[o]
-			if l.relu && realV < 0 {
-				realV = 0
-			}
-			lo[i] = realV
-		}
-		return y
+		head = ensureSlice(&l.lastOutB, N*l.out)
 	}
 	for i, a := range acc {
 		o := i % l.out
@@ -154,14 +143,18 @@ func (l *qDense) forwardBatch(x *qBatchTensor) *qBatchTensor {
 		if l.relu && realV < 0 {
 			realV = 0
 		}
+		if l.last {
+			head[i] = realV
+			continue
+		}
 		y.Data[i] = clampI8(float32(math.Round(float64(realV / l.outScale))))
 	}
 	return y
 }
 
 // ForwardBatch runs batched int8 inference, writing each sample's scalar
-// float output into out (length x.N). Results are bitwise identical to
-// Forward per window.
+// float output into out (length x.N). Each result is bitwise identical to
+// Forward on that window alone.
 func (q *QuantNetwork) ForwardBatch(x *BatchTensor, out []float32) {
 	if len(out) != x.N {
 		panic(fmt.Sprintf("tcn: quantized %s batch output has %d slots, want %d", q.Topology, len(out), x.N))
